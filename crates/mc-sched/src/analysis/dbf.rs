@@ -58,7 +58,7 @@ pub struct DemandAnalysis {
 /// # Errors
 ///
 /// Returns [`SchedError::EmptyTaskSet`] for an empty set and
-/// [`SchedError::SimulationDiverged`] when the number of check points
+/// [`SchedError::DemandPointsExceeded`] when the number of check points
 /// exceeds `max_points` (degenerate period ratios); `max_points = 0` means
 /// the default of 1 000 000.
 pub fn edf_demand_test(
@@ -142,7 +142,7 @@ pub fn edf_demand_test(
     {
         checked += 1;
         if checked > max_points {
-            return Err(SchedError::SimulationDiverged);
+            return Err(SchedError::DemandPointsExceeded { max_points });
         }
         let demand = dbf(ts, next_d, mode);
         if demand > next_d {
@@ -276,10 +276,10 @@ mod tests {
                 .points_checked,
             2
         );
-        assert!(matches!(
-            edf_demand_test(&ts, Criticality::Lo, 1),
-            Err(SchedError::SimulationDiverged)
-        ));
+        assert_eq!(
+            edf_demand_test(&ts, Criticality::Lo, 1).unwrap_err(),
+            SchedError::DemandPointsExceeded { max_points: 1 }
+        );
     }
 
     #[test]

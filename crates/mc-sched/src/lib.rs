@@ -36,7 +36,7 @@ use std::error::Error;
 use std::fmt;
 
 /// The simulation-facing name for [`SchedError`]: every error `simulate`
-/// can return (invalid config, empty task set, divergence guard) is a
+/// can return (invalid config, empty task set, event guard) is a
 /// `SchedError`, and callers holding a simulator result see it under this
 /// alias.
 pub type SimError = SchedError;
@@ -52,9 +52,18 @@ pub enum SchedError {
     },
     /// Simulation requires at least one task.
     EmptyTaskSet,
-    /// The event loop exceeded its safety bound (likely a degenerate
-    /// configuration such as nanosecond periods over a long horizon).
+    /// A simulator's event loop exceeded its safety bound. `simulate`
+    /// derives its bound from the workload, so only a zero period (a set
+    /// that bypassed the task builder) or an engine defect reaches it;
+    /// `simulate_multi` still caps every run at 10⁷ events.
     SimulationDiverged,
+    /// The EDF demand-bound test (`analysis::dbf::edf_demand_test`) needed
+    /// more check points than its cap allows before reaching its analysis
+    /// horizon (degenerate period ratios).
+    DemandPointsExceeded {
+        /// The check-point cap that was hit.
+        max_points: u64,
+    },
 }
 
 impl fmt::Display for SchedError {
@@ -67,6 +76,10 @@ impl fmt::Display for SchedError {
             SchedError::SimulationDiverged => {
                 write!(f, "simulation exceeded its event-count safety bound")
             }
+            SchedError::DemandPointsExceeded { max_points } => write!(
+                f,
+                "demand-bound analysis exceeded its cap of {max_points} check points"
+            ),
         }
     }
 }
@@ -83,6 +96,11 @@ mod tests {
         assert!(SchedError::SimulationDiverged
             .to_string()
             .contains("safety bound"));
+        let cap = SchedError::DemandPointsExceeded { max_points: 7 }.to_string();
+        assert!(
+            cap.contains("demand-bound analysis") && cap.contains('7'),
+            "{cap}"
+        );
         let e = SchedError::InvalidSimConfig {
             reason: "horizon must be non-zero",
         };

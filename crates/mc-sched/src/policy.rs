@@ -81,7 +81,7 @@ pub trait SchedulingPolicy {
     /// # Errors
     ///
     /// Returns [`SchedError::EmptyTaskSet`] for an empty set and
-    /// [`SchedError::SimulationDiverged`] when a demand test exceeds its
+    /// [`SchedError::DemandPointsExceeded`] when a demand test exceeds its
     /// point budget.
     fn admit(&self, ts: &TaskSet) -> Result<PolicyVerdict, SchedError>;
 
@@ -535,7 +535,7 @@ mod tests {
         let ts = TaskSet::from_tasks(vec![t(0, 5, 7, 10), t(1, 4, 9, 9)]).unwrap();
         assert!(matches!(
             PolicySpec::DemandBased { max_points: 1 }.admit(&ts),
-            Err(SchedError::SimulationDiverged)
+            Err(SchedError::DemandPointsExceeded { max_points: 1 })
         ));
     }
 

@@ -10,6 +10,8 @@ use mc_task::{Criticality, TaskSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How `C_LO` overruns trigger criticality-mode changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -68,7 +70,7 @@ impl SimConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), SchedError> {
+    pub(super) fn validate(&self) -> Result<(), SchedError> {
         if self.horizon.is_zero() {
             return Err(SchedError::InvalidSimConfig {
                 reason: "horizon must be non-zero",
@@ -95,8 +97,39 @@ impl SimConfig {
     }
 }
 
+/// Upper bound on events per release attempt. Every loop iteration after
+/// the first ends at the horizon or at an instant that retires one of:
+/// a batch of releases, a budget crossing, or a completion or deadline kill
+/// (at most one of each per job). Three per release suffice; the fourth is
+/// margin.
+const EVENTS_PER_RELEASE: u64 = 4;
+
+/// The event-loop guard for `ts` over `horizon`: Σᵢ (⌊horizon/Pᵢ⌋ + 1)
+/// release attempts times [`EVENTS_PER_RELEASE`], so a valid run of any
+/// length never trips it.
+///
+/// # Errors
+///
+/// Returns [`SchedError::SimulationDiverged`] for a zero period (a task
+/// that would release forever at one instant).
+pub(super) fn event_bound(ts: &TaskSet, horizon: Duration) -> Result<u64, SchedError> {
+    let mut releases: u64 = 0;
+    for task in ts.iter() {
+        let period = task.period().as_nanos();
+        if period == 0 {
+            return Err(SchedError::SimulationDiverged);
+        }
+        releases = releases.saturating_add(horizon.as_nanos() / period + 1);
+    }
+    Ok(releases
+        .saturating_mul(EVENTS_PER_RELEASE)
+        .saturating_add(2))
+}
+
 #[derive(Debug, Clone)]
 struct Job {
+    /// Unique per release; heap entries naming a departed job go stale.
+    id: u64,
     task_idx: usize,
     criticality: Criticality,
     abs_deadline: Instant,
@@ -112,13 +145,157 @@ struct Job {
     contained: bool,
 }
 
+impl Job {
+    /// The EDF key: virtual deadlines in LO mode, real ones in HI mode.
+    fn key(&self, mode: Criticality) -> Instant {
+        match mode {
+            Criticality::Lo => self.virtual_deadline,
+            Criticality::Hi => self.abs_deadline,
+        }
+    }
+
+    /// An HC job that has executed its whole LO-mode budget. Pending jobs
+    /// always have work left, so this is the engine's overrun predicate.
+    fn overruns(&self) -> bool {
+        self.criticality.is_high() && self.executed >= self.budget_lo
+    }
+}
+
+/// A heap entry: `(time key, task index, job id, slot)`. The id tells a
+/// live entry from one whose job has left its slot.
+type Entry = Reverse<(Instant, usize, u64, usize)>;
+
+/// The pending jobs, stored in reusable slots and indexed by two min-heaps
+/// with lazy deletion: an entry is live while its slot still holds the job
+/// it names.
+#[derive(Debug)]
+struct Pending {
+    slots: Vec<Option<Job>>,
+    free: Vec<usize>,
+    /// Keyed by the EDF key of the current mode; `(key, task index)` is a
+    /// strict order because jobs of one task release at distinct instants.
+    /// Rebuilt on LO → HI.
+    ready: BinaryHeap<Entry>,
+    /// Keyed by absolute deadline.
+    deadlines: BinaryHeap<Entry>,
+    /// Pending HC jobs.
+    hc: usize,
+    /// Pending HC jobs past their LO budget.
+    overrunning: usize,
+}
+
+impl Pending {
+    fn with_capacity(n: usize) -> Self {
+        Pending {
+            slots: Vec::with_capacity(n),
+            free: Vec::with_capacity(n),
+            ready: BinaryHeap::with_capacity(n),
+            deadlines: BinaryHeap::with_capacity(n),
+            hc: 0,
+            overrunning: 0,
+        }
+    }
+
+    fn is_live(&self, entry: &Entry) -> bool {
+        let Reverse((_, _, id, slot)) = *entry;
+        self.slots[slot].as_ref().is_some_and(|j| j.id == id)
+    }
+
+    /// Adds `job` and returns its slot.
+    fn insert(&mut self, job: Job, mode: Criticality) -> usize {
+        if job.criticality.is_high() {
+            self.hc += 1;
+        }
+        if job.overruns() {
+            self.overrunning += 1;
+        }
+        let (key, deadline, task_idx, id) = (job.key(mode), job.abs_deadline, job.task_idx, job.id);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(job);
+                slot
+            }
+            None => {
+                self.slots.push(Some(job));
+                self.slots.len() - 1
+            }
+        };
+        self.ready.push(Reverse((key, task_idx, id, slot)));
+        self.deadlines.push(Reverse((deadline, task_idx, id, slot)));
+        slot
+    }
+
+    fn remove(&mut self, slot: usize) -> Option<Job> {
+        let job = self.slots[slot].take()?;
+        self.free.push(slot);
+        if job.criticality.is_high() {
+            self.hc -= 1;
+        }
+        if job.overruns() {
+            self.overrunning -= 1;
+        }
+        Some(job)
+    }
+
+    /// The slot of the job EDF dispatches now.
+    fn head(&mut self) -> Option<usize> {
+        while let Some(top) = self.ready.peek() {
+            if self.is_live(top) {
+                return Some(top.0 .3);
+            }
+            self.ready.pop();
+        }
+        None
+    }
+
+    fn earliest_deadline(&mut self) -> Option<Instant> {
+        while let Some(top) = self.deadlines.peek() {
+            if self.is_live(top) {
+                return Some(top.0 .0);
+            }
+            self.deadlines.pop();
+        }
+        None
+    }
+
+    /// Removes and returns a pending job whose deadline is at or before
+    /// `clock`.
+    fn pop_missed(&mut self, clock: Instant) -> Option<Job> {
+        if self.earliest_deadline()? > clock {
+            return None;
+        }
+        let Reverse((_, _, _, slot)) = self.deadlines.pop()?;
+        self.remove(slot)
+    }
+
+    /// Re-keys the ready queue for `mode`. Only LO → HI needs it: HI → LO
+    /// happens with no HC job pending, and LC keys are the same in both
+    /// modes.
+    fn rekey(&mut self, mode: Criticality) {
+        self.ready.clear();
+        for (slot, job) in self.slots.iter().enumerate() {
+            if let Some(j) = job {
+                self.ready
+                    .push(Reverse((j.key(mode), j.task_idx, j.id, slot)));
+            }
+        }
+    }
+}
+
 /// Runs one simulation of `ts` under `cfg` and returns the collected
 /// metrics.
 ///
+/// The engine is an event calendar: a release heap keyed by
+/// `(time, task index)`, a ready queue keyed by `(EDF key, task index)`,
+/// and a deadline heap, so the cost of an event is logarithmic in the
+/// pending-job count and independent of the task count.
+///
 /// # Errors
 ///
-/// Returns [`SchedError::InvalidSimConfig`] for invalid configurations and
-/// [`SchedError::EmptyTaskSet`] when there is nothing to simulate.
+/// Returns [`SchedError::InvalidSimConfig`] for invalid configurations,
+/// [`SchedError::EmptyTaskSet`] when there is nothing to simulate, and
+/// [`SchedError::SimulationDiverged`] for a zero period or if the event
+/// loop ever outruns its bound of four events per release attempt.
 ///
 /// # Example
 ///
@@ -151,10 +328,18 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
         Some(x) => x,
         None => edf_vd::x_factor(ts.u_hc_lo(), ts.u_lc_lo()).unwrap_or(1.0),
     };
+    let max_events = event_bound(ts, cfg.horizon)?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let tasks = ts.tasks();
-    let mut next_release: Vec<Instant> = vec![Instant::ZERO; tasks.len()];
-    let mut pending: Vec<Job> = Vec::new();
+    // Every task releases at t = 0; popping in (time, index) order keeps
+    // the RNG draw order of same-instant releases.
+    let mut releases: BinaryHeap<Reverse<(Instant, usize)>> = (0..tasks.len())
+        .map(|i| Reverse((Instant::ZERO, i)))
+        .collect();
+    let mut pending = Pending::with_capacity(tasks.len());
+    // HC jobs that crossed their LO budget since the last overrun check.
+    let mut fresh_overruns: Vec<(u64, usize)> = Vec::new();
+    let mut next_id: u64 = 0;
     let mut mode = Criticality::Lo;
     let mut clock = Instant::ZERO;
     let mut metrics = SimMetrics {
@@ -163,10 +348,7 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
     };
     let horizon = Instant::ZERO + cfg.horizon;
     let mut hi_entered_at: Option<Instant> = None;
-
-    // Bound the number of events defensively: releases dominate.
     let mut guard: u64 = 0;
-    let max_events: u64 = 10_000_000;
 
     loop {
         guard += 1;
@@ -176,50 +358,42 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
 
         // Dispatch: EDF over virtual deadlines in LO mode, real deadlines in
         // HI mode. Ties break on task index for determinism.
-        let running_idx = pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, j)| {
-                let key = match mode {
-                    Criticality::Lo => j.virtual_deadline,
-                    Criticality::Hi => j.abs_deadline,
-                };
-                (key, j.task_idx)
-            })
-            .map(|(i, _)| i);
+        let running = pending.head();
 
-        // Next event time. An empty release queue is a structural error
+        // Next event time. An empty release calendar is a structural error
         // (guarded above), never a panic: mc-serve workers simulate task
         // sets rebuilt from shipped specs and must fail a unit, not crash.
-        let t_release = next_release
-            .iter()
-            .copied()
-            .min()
-            .ok_or(SchedError::EmptyTaskSet)?;
+        let Reverse((t_release, _)) = *releases.peek().ok_or(SchedError::EmptyTaskSet)?;
         let mut t_next = horizon.min(t_release);
-        if let Some(ri) = running_idx {
-            let j = &pending[ri];
-            let t_complete = clock + j.remaining;
-            t_next = t_next.min(t_complete);
+        if let Some(j) = running.and_then(|slot| pending.slots[slot].as_ref()) {
+            t_next = t_next.min(clock + j.remaining);
             if mode == Criticality::Lo && j.criticality.is_high() && j.executed < j.budget_lo {
-                let t_switch = clock + (j.budget_lo - j.executed);
-                t_next = t_next.min(t_switch);
+                t_next = t_next.min(clock + (j.budget_lo - j.executed));
             }
-            // Deadline of the running job (miss detection).
-            t_next = t_next.min(j.abs_deadline);
         }
-        // Earliest pending deadline (a queued job can miss while another runs).
-        if let Some(d) = pending.iter().map(|j| j.abs_deadline).min() {
+        // Earliest pending deadline, the running job's included (a queued
+        // job can miss while another runs).
+        if let Some(d) = pending.earliest_deadline() {
             t_next = t_next.min(d);
         }
 
         // Advance time, accounting execution to the running job.
         let delta = t_next - clock;
-        if let Some(ri) = running_idx {
-            let j = &mut pending[ri];
+        let mut completed = None;
+        if let Some((slot, j)) =
+            running.and_then(|slot| Some((slot, pending.slots[slot].as_mut()?)))
+        {
+            let was_overrunning = j.overruns();
             j.remaining = j.remaining.saturating_sub(delta);
             j.executed += delta;
             metrics.busy_time += delta;
+            if !was_overrunning && j.overruns() {
+                pending.overrunning += 1;
+                fresh_overruns.push((j.id, slot));
+            }
+            if j.remaining.is_zero() {
+                completed = Some(slot);
+            }
         }
         clock = t_next;
 
@@ -228,25 +402,22 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
         }
 
         // 1. Completion of the running job.
-        if let Some(ri) = running_idx {
-            if pending[ri].remaining.is_zero() {
-                let j = pending.swap_remove(ri);
-                match j.criticality {
-                    Criticality::Hi => metrics.hc_completed += 1,
-                    Criticality::Lo => {
-                        if j.degraded {
-                            metrics.lc_degraded += 1;
-                        } else {
-                            metrics.lc_completed += 1;
-                        }
+        if let Some(j) = completed.and_then(|slot| pending.remove(slot)) {
+            match j.criticality {
+                Criticality::Hi => metrics.hc_completed += 1,
+                Criticality::Lo => {
+                    if j.degraded {
+                        metrics.lc_degraded += 1;
+                    } else {
+                        metrics.lc_completed += 1;
                     }
                 }
-                // §III: back to LO when no HC job is ready.
-                if mode == Criticality::Hi && !pending.iter().any(|p| p.criticality.is_high()) {
-                    mode = Criticality::Lo;
-                    if let Some(t0) = hi_entered_at.take() {
-                        metrics.time_in_hi += clock - t0;
-                    }
+            }
+            // §III: back to LO when no HC job is ready.
+            if mode == Criticality::Hi && pending.hc == 0 {
+                mode = Criticality::Lo;
+                if let Some(t0) = hi_entered_at.take() {
+                    metrics.time_in_hi += clock - t0;
                 }
             }
         }
@@ -254,26 +425,19 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
         // 2. Budget overrun of (possibly still running) HC jobs.
         if mode == Criticality::Lo {
             let escalate = match cfg.mode_switch {
-                ModeSwitchPolicy::System => pending.iter().any(|j| {
-                    j.criticality.is_high() && j.executed >= j.budget_lo && !j.remaining.is_zero()
-                }),
+                ModeSwitchPolicy::System => pending.overrunning > 0,
                 ModeSwitchPolicy::TaskLevelThenSystem => {
                     // Contain each overrunning job at task level (counted
                     // once per job); escalate only on concurrent overruns.
-                    let mut overrunning = 0usize;
-                    for j in pending.iter_mut() {
-                        if j.criticality.is_high()
-                            && j.executed >= j.budget_lo
-                            && !j.remaining.is_zero()
-                        {
-                            overrunning += 1;
+                    for &(id, slot) in &fresh_overruns {
+                        if let Some(j) = pending.slots[slot].as_mut().filter(|j| j.id == id) {
                             if !j.contained {
                                 j.contained = true;
                                 metrics.task_level_switches += 1;
                             }
                         }
                     }
-                    overrunning >= 2
+                    pending.overrunning >= 2
                 }
             };
             if escalate {
@@ -281,25 +445,23 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
                 hi_entered_at = Some(clock);
                 metrics.mode_switches += 1;
                 apply_lc_policy(&mut pending, tasks, cfg.lc_policy, &mut metrics);
+                pending.rekey(mode);
             }
         }
+        // In HI mode no overrun is ever contained: the system only returns
+        // to LO once every HC job, these included, has left.
+        fresh_overruns.clear();
 
         // 3. Deadline misses: any unfinished job past its absolute deadline
         // is killed and counted.
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].abs_deadline <= clock && !pending[i].remaining.is_zero() {
-                let j = pending.swap_remove(i);
-                match j.criticality {
-                    Criticality::Hi => metrics.hc_deadline_misses += 1,
-                    Criticality::Lo => metrics.lc_deadline_misses += 1,
-                }
-            } else {
-                i += 1;
+        while let Some(j) = pending.pop_missed(clock) {
+            match j.criticality {
+                Criticality::Hi => metrics.hc_deadline_misses += 1,
+                Criticality::Lo => metrics.lc_deadline_misses += 1,
             }
         }
         // A killed HC job may have been the last HC work.
-        if mode == Criticality::Hi && !pending.iter().any(|p| p.criticality.is_high()) {
+        if mode == Criticality::Hi && pending.hc == 0 {
             mode = Criticality::Lo;
             if let Some(t0) = hi_entered_at.take() {
                 metrics.time_in_hi += clock - t0;
@@ -307,10 +469,12 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
         }
 
         // 4. Releases due now.
-        for (idx, task) in tasks.iter().enumerate() {
-            if next_release[idx] != clock {
-                continue;
+        while let Some(mut due) = releases.peek_mut() {
+            let Reverse((t, idx)) = *due;
+            if t != clock {
+                break;
             }
+            let task = &tasks[idx];
             // Sporadic semantics: the period is the *minimum* separation;
             // jitter pushes the next release later, never earlier.
             let jitter = if cfg.release_jitter.is_zero() {
@@ -318,7 +482,8 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
             } else {
                 Duration::from_nanos(rng.random_range(0..=cfg.release_jitter.as_nanos()))
             };
-            next_release[idx] = clock + task.period() + jitter;
+            *due = Reverse((clock + task.period() + jitter, idx));
+            drop(due);
             if task.criticality().is_low() && mode == Criticality::Hi {
                 match cfg.lc_policy {
                     LcPolicy::DropAll => {
@@ -350,7 +515,10 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
                 Criticality::Hi => metrics.hc_released += 1,
                 Criticality::Lo => metrics.lc_released += 1,
             }
-            pending.push(Job {
+            let id = next_id;
+            next_id += 1;
+            let job = Job {
+                id,
                 task_idx: idx,
                 criticality: task.criticality(),
                 abs_deadline,
@@ -360,7 +528,14 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
                 budget_lo: task.c_lo(),
                 degraded,
                 contained: false,
-            });
+            };
+            // A zero LO budget overruns on release (deserialized sets only;
+            // the task builder rejects it).
+            let overruns = job.overruns();
+            let slot = pending.insert(job, mode);
+            if overruns {
+                fresh_overruns.push((id, slot));
+            }
         }
     }
 
@@ -372,22 +547,24 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
 
 /// Applies the LC policy at the instant of a LO → HI switch.
 fn apply_lc_policy(
-    pending: &mut Vec<Job>,
+    pending: &mut Pending,
     tasks: &[mc_task::McTask],
     policy: LcPolicy,
     metrics: &mut SimMetrics,
 ) {
-    match policy {
-        LcPolicy::DropAll => {
-            let before = pending.len();
-            pending.retain(|j| j.criticality.is_high());
-            metrics.lc_dropped_at_switch += (before - pending.len()) as u64;
+    for slot in 0..pending.slots.len() {
+        let Some(j) = pending.slots[slot].as_mut() else {
+            continue;
+        };
+        if j.criticality.is_high() {
+            continue;
         }
-        LcPolicy::Degrade(f) => {
-            for j in pending.iter_mut() {
-                if j.criticality.is_high() {
-                    continue;
-                }
+        match policy {
+            LcPolicy::DropAll => {
+                pending.remove(slot);
+                metrics.lc_dropped_at_switch += 1;
+            }
+            LcPolicy::Degrade(f) => {
                 let budget = tasks[j.task_idx]
                     .c_lo()
                     .mul_f64(f)
@@ -403,15 +580,11 @@ fn apply_lc_policy(
                         j.degraded = true;
                     }
                 }
-            }
-            // Jobs whose remaining collapsed to zero complete immediately.
-            let mut i = 0;
-            while i < pending.len() {
-                if pending[i].criticality.is_low() && pending[i].remaining.is_zero() {
+                // A job whose remaining collapsed to zero completes
+                // immediately.
+                if j.remaining.is_zero() {
+                    pending.remove(slot);
                     metrics.lc_degraded += 1;
-                    pending.swap_remove(i);
-                } else {
-                    i += 1;
                 }
             }
         }
@@ -676,6 +849,15 @@ mod tests {
         // 0.5·50 ms per 100 ms period → utilization 0.25.
         assert!((m.utilization() - 0.25).abs() < 0.01);
         assert_eq!(m.lc_completed, 100);
+    }
+
+    #[test]
+    fn event_bound_scales_with_the_workload() {
+        // 10 s over 100 ms periods: 101 release attempts per task.
+        assert_eq!(
+            event_bound(&schedulable_set(), Duration::from_secs(10)).unwrap(),
+            2 * 101 * EVENTS_PER_RELEASE + 2
+        );
     }
 
     mod properties {

@@ -22,6 +22,8 @@ mod engine;
 mod exec_model;
 mod metrics;
 pub mod multi;
+#[cfg(test)]
+mod reference;
 
 pub use engine::{simulate, ModeSwitchPolicy, SimConfig};
 pub use exec_model::JobExecModel;

@@ -139,16 +139,40 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            if is_usage_error(&*e) {
+                eprintln!();
+                eprintln!("{USAGE}");
+            }
             ExitCode::FAILURE
         }
     }
 }
 
+/// A malformed command line: reported with the usage text. Every other
+/// error is a runtime failure and prints as a single `error:` line.
+#[derive(Debug)]
+struct UsageError(String);
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for UsageError {}
+
+fn usage(message: impl Into<String>) -> Box<dyn std::error::Error> {
+    Box::new(UsageError(message.into()))
+}
+
+/// Usage mistakes and unparsable flag values.
+fn is_usage_error(e: &(dyn std::error::Error + 'static)) -> bool {
+    e.is::<UsageError>() || e.is::<std::num::ParseIntError>() || e.is::<std::num::ParseFloatError>()
+}
+
 fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let Some(command) = args.first() else {
-        return Err("missing subcommand".into());
+        return Err(usage("missing subcommand"));
     };
     let rest = &args[1..];
     match command.as_str() {
@@ -172,10 +196,10 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         other => match suggest_subcommand(other) {
-            Some(near) => {
-                Err(format!("unknown subcommand `{other}` (did you mean `{near}`?)").into())
-            }
-            None => Err(format!("unknown subcommand `{other}`").into()),
+            Some(near) => Err(usage(format!(
+                "unknown subcommand `{other}` (did you mean `{near}`?)"
+            ))),
+            None => Err(usage(format!("unknown subcommand `{other}`"))),
         },
     }
 }
@@ -226,14 +250,14 @@ fn parse_flags(
             if args[i] == *name {
                 let value = args
                     .get(i + 1)
-                    .ok_or_else(|| format!("flag {name} needs a value"))?;
+                    .ok_or_else(|| usage(format!("flag {name} needs a value")))?;
                 **slot = Some(value.clone());
                 i += 2;
                 continue 'outer;
             }
         }
         if args[i].starts_with('-') {
-            return Err(format!("unknown flag `{}`", args[i]).into());
+            return Err(usage(format!("unknown flag `{}`", args[i])));
         }
         positional.push(args[i].clone());
         i += 1;
@@ -294,7 +318,7 @@ fn cmd_generate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
     if !positional.is_empty() {
-        return Err(format!("unexpected argument `{}`", positional[0]).into());
+        return Err(usage(format!("unexpected argument `{}`", positional[0])));
     }
     let u: f64 = u.as_deref().unwrap_or("0.7").parse()?;
     let seed: u64 = seed.as_deref().unwrap_or("0").parse()?;
@@ -302,7 +326,7 @@ fn cmd_generate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let workload = match family.as_deref().unwrap_or("synthetic") {
         "synthetic" => {
             if runnables.is_some() {
-                return Err("--runnables only applies to --family automotive".into());
+                return Err(usage("--runnables only applies to --family automotive"));
             }
             let mut cfg = GeneratorConfig::default();
             if let Some(p) = p_high {
@@ -344,7 +368,9 @@ fn cmd_generate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             )
         }
         other => {
-            return Err(format!("unknown family `{other}` (known: synthetic, automotive)").into())
+            return Err(usage(format!(
+                "unknown family `{other}` (known: synthetic, automotive)"
+            )))
         }
     };
     write_or_print(out, &workload.to_json()?)
@@ -353,7 +379,7 @@ fn cmd_generate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let positional = parse_flags(args, &mut [])?;
     let [path] = positional.as_slice() else {
-        return Err("analyze needs exactly one workload file".into());
+        return Err(usage("analyze needs exactly one workload file"));
     };
     let workload = load_workload(path)?;
     println!(
@@ -383,7 +409,7 @@ fn cmd_design(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
     let [path] = positional.as_slice() else {
-        return Err("design needs exactly one workload file".into());
+        return Err(usage("design needs exactly one workload file"));
     };
     let mut workload = load_workload(path)?;
     let seed: u64 = seed.as_deref().unwrap_or("0").parse()?;
@@ -409,7 +435,7 @@ fn cmd_design(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_wcet(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let positional = parse_flags(args, &mut [])?;
     let [path] = positional.as_slice() else {
-        return Err("wcet needs exactly one .prog file".into());
+        return Err(usage("wcet needs exactly one .prog file"));
     };
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let program = chebymc::exec::parse::parse_program(&src)?;
@@ -469,7 +495,7 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         match format.as_deref() {
             None | Some("json") => format = Some("json".to_string()),
             Some(other) => {
-                return Err(format!("--json conflicts with --format {other}").into());
+                return Err(usage(format!("--json conflicts with --format {other}")));
             }
         }
     }
@@ -486,7 +512,7 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             report.merge(bundle.lint());
             inputs += 1;
         }
-        _ => return Err("lint takes at most one bundle file".into()),
+        _ => return Err(usage("lint takes at most one bundle file")),
     }
     if let Some(path) = workload {
         let json =
@@ -545,18 +571,19 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         report.merge(audit.report);
         inputs += 1;
     } else if threads.is_some() || root.is_some() || config.is_some() {
-        return Err("--threads/--root/--config only apply with --source".into());
+        return Err(usage("--threads/--root/--config only apply with --source"));
     }
     if inputs == 0 {
-        return Err("lint needs at least one input (bundle, --workload, \
-                    --program, --benchmark, or --source)"
-            .into());
+        return Err(usage(
+            "lint needs at least one input (bundle, --workload, \
+                    --program, --benchmark, or --source)",
+        ));
     }
 
     let rendered = match format.as_deref().unwrap_or("human") {
         "human" => report.render_human(),
         "json" => report.render_json()?,
-        other => return Err(format!("unknown format `{other}`").into()),
+        other => return Err(usage(format!("unknown format `{other}`"))),
     };
     write_or_print(out, rendered.trim_end())?;
     let denied = gate.count_deny(&report);
@@ -568,7 +595,9 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_exp(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let Some(sub) = args.first() else {
-        return Err("exp needs a subcommand: list, run, status, merge, or export-csv".into());
+        return Err(usage(
+            "exp needs a subcommand: list, run, status, merge, or export-csv",
+        ));
     };
     let rest = &args[1..];
     match sub.as_str() {
@@ -577,10 +606,9 @@ fn cmd_exp(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "status" => exp_status(rest),
         "merge" => exp_merge(rest),
         "export-csv" => exp_export_csv(rest),
-        other => Err(format!(
+        other => Err(usage(format!(
             "unknown exp subcommand `{other}` (expected list, run, status, merge, or export-csv)"
-        )
-        .into()),
+        ))),
     }
 }
 
@@ -641,7 +669,9 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
     let [name] = positional.as_slice() else {
-        return Err("serve needs exactly one campaign name (see `chebymc exp list`)".into());
+        return Err(usage(
+            "serve needs exactly one campaign name (see `chebymc exp list`)",
+        ));
     };
     let opts = catalog::CatalogOptions {
         sets: sets.as_deref().map(str::parse).transpose()?,
@@ -651,7 +681,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         runnables: runnables.as_deref().map(str::parse).transpose()?,
     };
     let campaign = catalog::build(name, &opts)?;
-    let store_path = store_path.ok_or("serve needs --store <file.jsonl>")?;
+    let store_path = store_path.ok_or_else(|| usage("serve needs --store <file.jsonl>"))?;
 
     let report = chebymc::lint::lint_campaign(&campaign.spec.check(0, 1, Some(&store_path), None));
     if report.has_errors() {
@@ -736,12 +766,16 @@ fn cmd_worker(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
     if !positional.is_empty() {
-        return Err(format!("unexpected argument `{}`", positional[0]).into());
+        return Err(usage(format!("unexpected argument `{}`", positional[0])));
     }
     let source = match (connect, connect_file) {
         (Some(addr), None) => AddrSource::Fixed(addr),
         (None, Some(file)) => AddrSource::File(file.into()),
-        _ => return Err("worker needs exactly one of --connect or --connect-file".into()),
+        _ => {
+            return Err(usage(
+                "worker needs exactly one of --connect or --connect-file",
+            ))
+        }
     };
     let cfg = WorkerConfig {
         name: name.unwrap_or_else(|| format!("worker-{}", std::process::id())),
@@ -768,11 +802,13 @@ fn cmd_worker(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_trace(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let Some(sub) = args.first() else {
-        return Err("trace needs a subcommand: summary".into());
+        return Err(usage("trace needs a subcommand: summary"));
     };
     match sub.as_str() {
         "summary" => trace_summary(&args[1..]),
-        other => Err(format!("unknown trace subcommand `{other}` (expected summary)").into()),
+        other => Err(usage(format!(
+            "unknown trace subcommand `{other}` (expected summary)"
+        ))),
     }
 }
 
@@ -780,7 +816,7 @@ fn trace_summary(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use chebymc::obs::summary::TraceSummary;
     let positional = parse_flags(args, &mut [])?;
     let [path] = positional.as_slice() else {
-        return Err("trace summary needs exactly one trace file".into());
+        return Err(usage("trace summary needs exactly one trace file"));
     };
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace `{path}`: {e}"))?;
@@ -792,11 +828,13 @@ fn trace_summary(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_fault(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let Some(sub) = args.first() else {
-        return Err("fault needs a subcommand: sweep".into());
+        return Err(usage("fault needs a subcommand: sweep"));
     };
     match sub.as_str() {
         "sweep" => fault_sweep(&args[1..]),
-        other => Err(format!("unknown fault subcommand `{other}` (expected sweep)").into()),
+        other => Err(usage(format!(
+            "unknown fault subcommand `{other}` (expected sweep)"
+        ))),
     }
 }
 
@@ -812,16 +850,18 @@ fn fault_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
     if !positional.is_empty() {
-        return Err(format!("unexpected argument `{}`", positional[0]).into());
+        return Err(usage(format!("unexpected argument `{}`", positional[0])));
     }
     let seed: u64 = seed.as_deref().unwrap_or("0").parse()?;
     let count: u64 = count.as_deref().unwrap_or("100").parse()?;
     let ops: u64 = ops.as_deref().unwrap_or("16").parse()?;
     if count == 0 {
-        return Err("--count must be at least 1".into());
+        return Err(usage("--count must be at least 1"));
     }
     if ops == 0 {
-        return Err("--ops must be at least 1 (each session must be able to crash)".into());
+        return Err(usage(
+            "--ops must be at least 1 (each session must be able to crash)",
+        ));
     }
 
     let cfg = SweepConfig {
@@ -898,7 +938,9 @@ fn exp_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
     let [name] = positional.as_slice() else {
-        return Err("exp run needs exactly one campaign name (see `chebymc exp list`)".into());
+        return Err(usage(
+            "exp run needs exactly one campaign name (see `chebymc exp list`)",
+        ));
     };
     let opts = catalog::CatalogOptions {
         sets: sets.as_deref().map(str::parse).transpose()?,
@@ -989,7 +1031,7 @@ fn exp_status(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut shards = None;
     let positional = parse_flags(args, &mut [("--shards", &mut shards)])?;
     let [path] = positional.as_slice() else {
-        return Err("exp status needs exactly one store file".into());
+        return Err(usage("exp status needs exactly one store file"));
     };
     let store = Store::load(std::path::Path::new(path), None)?;
     let spec = store.spec();
@@ -1012,7 +1054,7 @@ fn exp_status(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(n) = shards {
         let n: usize = n.parse()?;
         if n == 0 {
-            return Err("--shards must be at least 1".into());
+            return Err(usage("--shards must be at least 1"));
         }
         for p in shard_progress(spec.total_units(), n, |u| store.is_complete(u)) {
             println!(
@@ -1032,10 +1074,10 @@ fn exp_merge(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut out = None;
     let positional = parse_flags(args, &mut [("-o", &mut out)])?;
     let Some(out) = out else {
-        return Err("exp merge needs -o <out.jsonl>".into());
+        return Err(usage("exp merge needs -o <out.jsonl>"));
     };
     if positional.is_empty() {
-        return Err("exp merge needs at least one input store".into());
+        return Err(usage("exp merge needs at least one input store"));
     }
     let mut stores = Vec::new();
     for path in &positional {
@@ -1061,7 +1103,7 @@ fn exp_export_csv(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut out = None;
     let positional = parse_flags(&args, &mut [("-o", &mut out)])?;
     let [path] = positional.as_slice() else {
-        return Err("exp export-csv needs exactly one store file".into());
+        return Err(usage("exp export-csv needs exactly one store file"));
     };
     let store = Store::load(std::path::Path::new(path), None)?;
     let csv = if per_unit {
@@ -1085,7 +1127,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
     let [path] = positional.as_slice() else {
-        return Err("simulate needs exactly one workload file".into());
+        return Err(usage("simulate needs exactly one workload file"));
     };
     let workload = load_workload(path)?;
     let seconds: u64 = seconds.as_deref().unwrap_or("60").parse()?;
@@ -1096,12 +1138,11 @@ fn cmd_simulate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let parse_fraction = |raw: &str| -> Result<f64, Box<dyn std::error::Error>> {
         let f: f64 = raw
             .parse()
-            .map_err(|e| format!("invalid degradation fraction `{raw}`: {e}"))?;
+            .map_err(|e| usage(format!("invalid degradation fraction `{raw}`: {e}")))?;
         if !f.is_finite() || !(0.0..=1.0).contains(&f) {
-            return Err(format!(
+            return Err(usage(format!(
                 "degradation fraction must be a finite value in [0, 1], got `{raw}`"
-            )
-            .into());
+            )));
         }
         Ok(f)
     };
@@ -1118,10 +1159,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ModeSwitchPolicy::TaskLevelThenSystem,
         ),
         other => {
-            return Err(format!(
+            return Err(usage(format!(
                 "unknown policy `{other}` (expected drop, degrade:<f>, or combined:<f>)"
-            )
-            .into())
+            )))
         }
     };
     let exec_model = match model.as_deref().unwrap_or("profile") {
@@ -1129,7 +1169,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "lo" => JobExecModel::FullLoBudget,
         "hi" => JobExecModel::FullHiBudget,
         s if s.starts_with("p:") => JobExecModel::OverrunWithProbability(s["p:".len()..].parse()?),
-        other => return Err(format!("unknown execution model `{other}`").into()),
+        other => return Err(usage(format!("unknown execution model `{other}`"))),
     };
     let cfg = SimConfig {
         horizon: Duration::from_secs(seconds),

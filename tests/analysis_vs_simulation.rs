@@ -126,3 +126,26 @@ fn eq8_sufficiency_has_no_runtime_counterexamples() {
     }
     assert!(accepted >= 20, "only {accepted} sets accepted by Eq. 8");
 }
+
+/// The simulator's event guard scales with the workload: a valid run that
+/// needs more than 10⁷ events (once a fixed cap) completes. Each 4 µs job
+/// releases, crosses its 1 µs LO budget (a mode switch), and completes in
+/// HI mode (the switch back): three events per job, 10.5 million in all.
+#[test]
+fn long_valid_runs_are_not_cut_short_by_the_event_guard() {
+    let task = McTask::builder(TaskId::new(0))
+        .criticality(Criticality::Hi)
+        .period(Duration::from_micros(4))
+        .c_lo(Duration::from_micros(1))
+        .c_hi(Duration::from_micros(2))
+        .build()
+        .unwrap();
+    let ts = TaskSet::from_tasks(vec![task]).unwrap();
+    let mut cfg = SimConfig::new(Duration::from_secs(14));
+    cfg.exec_model = JobExecModel::FullHiBudget;
+    let m = simulate(&ts, &cfg).unwrap();
+    assert_eq!(m.hc_released, 3_500_000);
+    assert_eq!(m.mode_switches, 3_500_000);
+    assert_eq!(m.hc_completed, 3_500_000);
+    assert_eq!(m.hc_deadline_misses, 0);
+}

@@ -4,6 +4,8 @@
 //! factor-pair draw order, the Weibull fit, or the JSON encoding shows up
 //! here as a byte diff before it can silently invalidate campaign results.
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -27,7 +29,7 @@ fn fixtures_dir() -> PathBuf {
 
 #[test]
 fn golden_automotive_fixture_is_byte_identical_on_regeneration() {
-    let tmp = std::env::temp_dir().join(format!("chebymc-automotive-{}.json", std::process::id()));
+    let tmp = common::tmp("automotive.json");
     let out = Command::new(env!("CARGO_BIN_EXE_chebymc"))
         .arg("generate")
         .args(FIXTURE_ARGS)

@@ -2,7 +2,9 @@
 //! workload file, analyze, design, and simulate it through real process
 //! invocations.
 
-use std::path::PathBuf;
+mod common;
+
+use common::tmp;
 use std::process::{Command, Output};
 
 fn chebymc(args: &[&str]) -> Output {
@@ -10,12 +12,6 @@ fn chebymc(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("binary runs")
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("chebymc-cli-test-{}-{name}", std::process::id()));
-    p
 }
 
 #[test]
@@ -72,6 +68,42 @@ fn missing_subcommand_fails_with_usage() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("missing subcommand"));
     assert!(err.contains("USAGE"));
+}
+
+#[test]
+fn runtime_errors_print_one_line_without_usage() {
+    // A well-formed command whose work fails: the simulator rejects an
+    // empty task set. The cause is the whole report.
+    let empty = tmp("empty.json");
+    std::fs::write(
+        &empty,
+        r#"{"name":"empty","description":"no tasks","tasks":{"tasks":[]}}"#,
+    )
+    .unwrap();
+    let out = chebymc(&["simulate", empty.to_str().unwrap(), "--seconds", "1"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err, "error: cannot simulate an empty task set\n");
+
+    let out = chebymc(&["analyze", "/nonexistent/definitely-missing.json"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.starts_with("error: cannot read"), "{err}");
+
+    // Malformed command lines still get the usage text.
+    for args in [
+        &["simulate", empty.to_str().unwrap(), "--bogus", "1"][..],
+        &["simulate", empty.to_str().unwrap(), "--seconds", "ten"][..],
+        &["simulate"][..],
+    ] {
+        let out = chebymc(args);
+        assert!(!out.status.success());
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("USAGE"),
+            "{args:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&empty);
 }
 
 #[test]

@@ -7,20 +7,18 @@
 //! The campaign under test is `table2` at a tiny sample count — 25 units
 //! of pure trace sampling, fast and bit-deterministic.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::tmp;
+use std::path::Path;
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 fn chebymc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_chebymc"))
         .args(args)
         .output()
         .expect("binary runs")
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("chebymc-exp-test-{}-{name}", std::process::id()));
-    p
 }
 
 /// Runs the tiny table2 campaign into `store`, asserting success.
@@ -45,14 +43,20 @@ fn run_tiny(store: &Path, extra: &[&str]) -> Output {
     out
 }
 
-/// The uninterrupted reference store for this process, built once.
+/// The uninterrupted reference store, built once per process however many
+/// tests ask for it concurrently.
 fn reference_store() -> Vec<u8> {
-    let store = tmp("reference.jsonl");
-    let _ = std::fs::remove_file(&store);
-    run_tiny(&store, &[]);
-    let bytes = std::fs::read(&store).expect("store written");
-    std::fs::remove_file(&store).unwrap();
-    bytes
+    static REFERENCE: OnceLock<Vec<u8>> = OnceLock::new();
+    REFERENCE
+        .get_or_init(|| {
+            let store = tmp("reference.jsonl");
+            let _ = std::fs::remove_file(&store);
+            run_tiny(&store, &[]);
+            let bytes = std::fs::read(&store).expect("store written");
+            std::fs::remove_file(&store).unwrap();
+            bytes
+        })
+        .clone()
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! The committed `.prog` fixtures parse, validate, and analyse cleanly —
 //! and the `chebymc wcet` CLI agrees with the library analysis.
 
+mod common;
+
 use chebymc::exec::parse::{parse_program, to_source};
 use chebymc::exec::wcet::analyze;
 use std::path::PathBuf;
@@ -96,7 +98,7 @@ fn committed_workload_fixture_designs_and_simulates() {
 
 #[test]
 fn cli_wcet_reports_parse_errors_with_position() {
-    let bad = std::env::temp_dir().join(format!("chebymc-bad-{}.prog", std::process::id()));
+    let bad = common::tmp("bad.prog");
     std::fs::write(&bad, "loop l 1 { block b 2; }").unwrap(); // missing bound
     let out = Command::new(env!("CARGO_BIN_EXE_chebymc"))
         .arg("wcet")

@@ -5,14 +5,11 @@
 //! session's wall clock. Everything lives in one `#[test]` because the
 //! mc-obs sink is process-wide state.
 
+mod common;
+
 use chebymc::exp::{catalog, run_campaign, RunConfig, Shard, Store};
 use chebymc::obs;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("chebymc-trace-it-{}-{name}", std::process::id()));
-    p
-}
+use common::tmp;
 
 #[test]
 fn tracing_leaves_the_store_bit_identical_and_accounts_for_the_session() {
