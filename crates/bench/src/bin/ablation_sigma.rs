@@ -9,23 +9,14 @@
 //!
 //! Run: `cargo run -p chebymc-bench --release --bin ablation_sigma`
 
-use chebymc_bench::{pct, trace_from_env, Table};
-use mc_exp::catalog::{self, CatalogOptions};
-use mc_exp::{aggregate, run_campaign, RunConfig, Store};
+use chebymc_bench::{pct, run_catalog, trace_from_env, Table};
+use mc_exp::catalog::CatalogOptions;
 use mc_stats::chebyshev::one_sided_bound;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _trace = trace_from_env();
     println!("Ablation — σ estimator and trace length (benchmark: corner; n = 3)\n");
-    let campaign = catalog::build("ablation_sigma", &CatalogOptions::default())?;
-    let mut store = Store::in_memory(&campaign.spec);
-    run_campaign(
-        &campaign.spec,
-        campaign.runner.as_ref(),
-        &mut store,
-        &RunConfig::default(),
-    )?;
-    let aggs = aggregate(&campaign.spec, store.records())?;
+    let aggs = run_catalog("ablation_sigma", &CatalogOptions::default())?;
 
     let mut table = Table::new([
         "m (samples)",
@@ -39,12 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     for a in &aggs {
         let get = |name: &str| a.mean(name).expect("ablation records carry every column");
-        let m = a
-            .params
-            .iter()
-            .find(|p| p.name == "m")
-            .expect("ablation points carry m")
-            .value;
+        let m = a.param("m").expect("ablation points carry m");
         table.row([
             format!("{}", m as usize),
             format!("{:.0}", get("acet")),

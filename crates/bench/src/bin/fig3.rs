@@ -2,27 +2,34 @@
 //! mode-switching probability (a), the maximum assigned LC utilisation (b),
 //! and the Eq. 13 product locating the optimum `n` per utilisation (c).
 //!
+//! A thin wrapper over the `fig3` and `fig3_optimum` campaigns in
+//! `mc_exp::catalog` — the definitions `chebymc exp run fig3` and
+//! `chebymc exp run fig3_optimum` execute — run here against in-memory
+//! stores. The campaigns derive the pre-campaign binary's per-set seeds,
+//! so old and new output can be diffed directly.
+//!
 //! Run: `cargo run -p chebymc-bench --release --bin fig3`
 //! Scale with `CHEBYMC_SETS` (paper: 1000 task sets per point).
 
-use chebymc_bench::{pct, task_sets_per_point, Table};
-use chebymc_core::pipeline::{evaluate_policy_over_utilization, BatchConfig};
-use chebymc_core::policy::WcetPolicy;
-use mc_task::generate::GeneratorConfig;
+use chebymc_bench::{pct, run_catalog, task_sets_per_point, trace_from_env, Table};
+use mc_exp::catalog::{self, CatalogOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let batch = BatchConfig {
-        task_sets: task_sets_per_point(),
-        seed: 3,
-        generator: GeneratorConfig::default(),
-        threads: 0,
+    let _trace = trace_from_env();
+    let sets = task_sets_per_point();
+    let opts = CatalogOptions {
+        sets: Some(sets),
+        ..CatalogOptions::default()
     };
-    let u_values: Vec<f64> = (4..=9).map(|i| i as f64 / 10.0).collect();
-    let n_values = [2.0, 5.0, 10.0, 15.0, 20.0, 30.0];
-    println!(
-        "Fig. 3 — n and U_HC^HI sweep ({} task sets per point)\n",
-        batch.task_sets
-    );
+    let n_values = catalog::fig3_n_values();
+    println!("Fig. 3 — n and U_HC^HI sweep ({sets} task sets per point)\n");
+    let aggs = run_catalog("fig3", &opts)?;
+    let fine = run_catalog("fig3_optimum", &opts)?;
+    // Both axes are policy-major: point = n_index * |u| + u_index.
+    let u_count = aggs.len() / n_values.len();
+    let mean = |agg: &mc_exp::PointAggregate, metric: &str| {
+        agg.mean(metric).expect("fig3 records carry design metrics")
+    };
 
     let mut p_ms_table = Table::new({
         let mut h = vec!["U_HC^HI".to_string()];
@@ -41,45 +48,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         h
     });
 
-    // Evaluate each n over all utilisation points.
-    let mut per_n = Vec::new();
-    for &n in &n_values {
-        let points = evaluate_policy_over_utilization(
-            &u_values,
-            &WcetPolicy::ChebyshevUniform { n },
-            &batch,
-        )?;
-        per_n.push(points);
-    }
-    for (ui, &u) in u_values.iter().enumerate() {
+    for (ui, point) in aggs[..u_count].iter().enumerate() {
+        let u = point.param("u").expect("campaign points carry u");
         let mut p_row = vec![format!("{u:.1}")];
         let mut u_row = vec![format!("{u:.1}")];
         let mut o_row = vec![format!("{u:.1}")];
-        let mut best = (f64::NEG_INFINITY, 0.0);
-        for points in &per_n {
-            let pt = &points[ui];
-            p_row.push(pct(pt.mean_p_ms));
-            u_row.push(pct(pt.mean_max_u_lc_lo));
-            o_row.push(format!("{:.4}", pt.mean_objective));
-            if pt.mean_objective > best.0 {
-                best = (pt.mean_objective, points[ui].u_hc_hi);
-            }
+        for ni in 0..n_values.len() {
+            let pt = &aggs[ni * u_count + ui];
+            p_row.push(pct(mean(pt, "p_ms")));
+            u_row.push(pct(mean(pt, "max_u_lc_lo")));
+            o_row.push(format!("{:.4}", mean(pt, "objective")));
         }
-        // Optimum n on a finer grid for this utilisation.
-        let fine: Vec<f64> = (0..=40).map(f64::from).collect();
+        // Optimum n on the finer grid for this utilisation; the first
+        // maximum wins.
         let mut best_n = 0.0;
         let mut best_obj = f64::NEG_INFINITY;
-        for &n in &fine {
-            let pts = evaluate_policy_over_utilization(
-                &[u],
-                &WcetPolicy::ChebyshevUniform { n },
-                &BatchConfig {
-                    task_sets: (batch.task_sets / 10).max(10),
-                    ..batch.clone()
-                },
-            )?;
-            if pts[0].mean_objective > best_obj {
-                best_obj = pts[0].mean_objective;
+        for (ni, &n) in catalog::fig3_optimum_n_values().iter().enumerate() {
+            let obj = mean(&fine[ni * u_count + ui], "objective");
+            if obj > best_obj {
+                best_obj = obj;
                 best_n = n;
             }
         }

@@ -2,37 +2,36 @@
 //! λ-range policies of the state of the art: mode-switching probability and
 //! maximum LC utilisation per HC utilisation.
 //!
+//! A thin wrapper over the `fig4` campaign in `mc_exp::catalog` — the
+//! definition `chebymc exp run fig4` executes — run here against an
+//! in-memory store. The campaign derives the pre-campaign binary's
+//! per-set seeds, so old and new output can be diffed directly.
+//!
 //! Run: `cargo run -p chebymc-bench --release --bin fig4`
 //! Scale with `CHEBYMC_SETS` (paper: 1000 task sets per point).
 
-use chebymc_bench::{pct, task_sets_per_point, Table};
-use chebymc_core::pipeline::{evaluate_policy_over_utilization, BatchConfig};
-use chebymc_core::policy::{paper_lambda_baselines, WcetPolicy};
-use mc_opt::{GaConfig, ProblemConfig};
-use mc_task::generate::GeneratorConfig;
+use chebymc_bench::{pct, run_catalog, task_sets_per_point, trace_from_env, Table};
+use mc_exp::catalog::{self, CatalogOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let batch = BatchConfig {
-        task_sets: task_sets_per_point(),
-        seed: 4,
-        generator: GeneratorConfig::default(),
-        threads: 0,
-    };
-    let u_values: Vec<f64> = (4..=9).map(|i| i as f64 / 10.0).collect();
-    println!(
-        "Fig. 4 — proposed scheme vs lambda-range policies ({} task sets per point)\n",
-        batch.task_sets
-    );
-
-    let mut policies: Vec<WcetPolicy> = vec![WcetPolicy::ChebyshevGa {
-        ga: GaConfig {
-            population_size: 48,
-            generations: 40,
-            ..GaConfig::default()
+    let _trace = trace_from_env();
+    let sets = task_sets_per_point();
+    println!("Fig. 4 — proposed scheme vs lambda-range policies ({sets} task sets per point)\n");
+    let aggs = run_catalog(
+        "fig4",
+        &CatalogOptions {
+            sets: Some(sets),
+            ..CatalogOptions::default()
         },
-        problem: ProblemConfig::default(),
-    }];
-    policies.extend(paper_lambda_baselines());
+    )?;
+    // The axis is policy-major: point = policy_index * |u| + u_index.
+    let policies = catalog::fig4_policies();
+    let u_count = aggs.len() / policies.len();
+    let mean = |pi: usize, ui: usize, metric: &str| {
+        aggs[pi * u_count + ui]
+            .mean(metric)
+            .expect("fig4 records carry design metrics")
+    };
 
     let mut p_table = Table::new({
         let mut h = vec!["U_HC^HI".to_string()];
@@ -44,17 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         h.extend(policies.iter().map(|p| format!("maxU% {}", p.name())));
         h
     });
-
-    let mut per_policy = Vec::new();
-    for policy in &policies {
-        per_policy.push(evaluate_policy_over_utilization(&u_values, policy, &batch)?);
-    }
-    for (ui, &u) in u_values.iter().enumerate() {
+    for (ui, point) in aggs[..u_count].iter().enumerate() {
+        let u = point.param("u").expect("campaign points carry u");
         let mut p_row = vec![format!("{u:.1}")];
         let mut u_row = vec![format!("{u:.1}")];
-        for points in &per_policy {
-            p_row.push(pct(points[ui].mean_p_ms));
-            u_row.push(pct(points[ui].mean_max_u_lc_lo));
+        for pi in 0..policies.len() {
+            p_row.push(pct(mean(pi, ui, "p_ms")));
+            u_row.push(pct(mean(pi, ui, "max_u_lc_lo")));
         }
         p_table.row(p_row);
         u_table.row(u_row);

@@ -10,38 +10,28 @@
 //!
 //! Run: `cargo run -p chebymc-bench --release --bin fig5`
 
-use chebymc_bench::{task_sets_per_point, trace_from_env, Table};
+use chebymc_bench::{run_catalog, task_sets_per_point, trace_from_env, Table};
 use mc_exp::catalog::{self, CatalogOptions};
-use mc_exp::{aggregate, run_campaign, RunConfig, Store};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _trace = trace_from_env();
     let sets = task_sets_per_point();
-    let campaign = catalog::build(
+    println!("Fig. 5 — Eq. 13 objective by varying U_HC^HI ({sets} task sets per point)\n");
+    let aggs = run_catalog(
         "fig5",
         &CatalogOptions {
             sets: Some(sets),
             ..CatalogOptions::default()
         },
     )?;
-    println!("Fig. 5 — Eq. 13 objective by varying U_HC^HI ({sets} task sets per point)\n");
-
-    let mut store = Store::in_memory(&campaign.spec);
-    run_campaign(
-        &campaign.spec,
-        campaign.runner.as_ref(),
-        &mut store,
-        &RunConfig::default(),
-    )?;
-    let aggs = aggregate(&campaign.spec, store.records())?;
 
     // The axis is policy-major: the first |u| points belong to the first
     // policy, and every point exposes its utilisation as a parameter.
     let policies = catalog::fig5_policies();
-    let u_count = campaign.spec.points.len() / policies.len();
-    let u_values: Vec<f64> = campaign.spec.points[..u_count]
+    let u_count = aggs.len() / policies.len();
+    let u_values: Vec<f64> = aggs[..u_count]
         .iter()
-        .map(|p| p.param("u").expect("fig5 points carry u"))
+        .map(|a| a.param("u").expect("campaign points carry u"))
         .collect();
     let objective = |pi: usize, ui: usize| {
         aggs[pi * u_count + ui]

@@ -9,76 +9,47 @@
 //! Baruah et al. RTNS'12 drops LC tasks in HI mode; Liu et al. RTSS'16
 //! degrades them to 50 %.
 //!
+//! A thin wrapper over the `fig6` campaign in `mc_exp::catalog` — the
+//! definition `chebymc exp run fig6` executes — run here against an
+//! in-memory store. Each unit reports `accepted` ∈ {0, 1}, so a point's
+//! mean is the acceptance ratio, bit-identical to the pre-campaign count.
+//!
 //! Run: `cargo run -p chebymc-bench --release --bin fig6`
 
-use chebymc_bench::{pct, task_sets_per_point, Table};
-use chebymc_core::pipeline::{acceptance_ratio_lo_bounded, BatchConfig, SchedulingApproach};
-use chebymc_core::policy::WcetPolicy;
-use mc_opt::{GaConfig, ProblemConfig};
-use mc_task::generate::GeneratorConfig;
+use chebymc_bench::{pct, run_catalog, task_sets_per_point, trace_from_env, Table};
+use mc_exp::catalog::{self, CatalogOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let batch = BatchConfig {
-        task_sets: task_sets_per_point(),
-        seed: 6,
-        generator: GeneratorConfig::default(),
-        threads: 0,
-    };
-    let u_bounds: Vec<f64> = (10..=20).map(|i| i as f64 / 20.0).collect(); // 0.5 … 1.0
-    let lambda_range = (0.25, 1.0);
+    let _trace = trace_from_env();
+    let sets = task_sets_per_point();
     println!(
-        "Fig. 6 — acceptance ratio vs U_bound ({} task sets per point, P(HC) = 0.5,\n\
-         baseline budgets C_LO = lambda*C_HI with lambda in [1/4, 1])\n",
-        batch.task_sets
+        "Fig. 6 — acceptance ratio vs U_bound ({sets} task sets per point, P(HC) = 0.5,\n\
+         baseline budgets C_LO = lambda*C_HI with lambda in [1/4, 1])\n"
     );
-
-    let scheme = WcetPolicy::ChebyshevGa {
-        ga: GaConfig {
-            population_size: 48,
-            generations: 40,
-            ..GaConfig::default()
+    let aggs = run_catalog(
+        "fig6",
+        &CatalogOptions {
+            sets: Some(sets),
+            ..CatalogOptions::default()
         },
-        problem: ProblemConfig::default(),
-    };
-
-    let variants: Vec<(&str, Option<&WcetPolicy>, SchedulingApproach)> = vec![
-        ("Baruah'12", None, SchedulingApproach::BaruahDropAll),
-        (
-            "Baruah'12+scheme",
-            Some(&scheme),
-            SchedulingApproach::BaruahDropAll,
-        ),
-        (
-            "Liu'16",
-            None,
-            SchedulingApproach::LiuDegrade { fraction: 0.5 },
-        ),
-        (
-            "Liu'16+scheme",
-            Some(&scheme),
-            SchedulingApproach::LiuDegrade { fraction: 0.5 },
-        ),
-    ];
+    )?;
+    // The axis is variant-major: point = variant_index * |u| + u_index.
+    let variants = catalog::fig6_variants();
+    let u_count = aggs.len() / variants.len();
 
     let mut table = Table::new({
         let mut h = vec!["U_bound".to_string()];
-        h.extend(variants.iter().map(|(name, _, _)| format!("{name} %")));
+        h.extend(variants.iter().map(|v| format!("{} %", v.name)));
         h
     });
-    let mut results = Vec::new();
-    for (_, policy, approach) in &variants {
-        results.push(acceptance_ratio_lo_bounded(
-            &u_bounds,
-            *policy,
-            *approach,
-            lambda_range,
-            &batch,
-        )?);
-    }
-    for (ui, &u) in u_bounds.iter().enumerate() {
+    for (ui, point) in aggs[..u_count].iter().enumerate() {
+        let u = point.param("u").expect("campaign points carry u");
         let mut row = vec![format!("{u:.2}")];
-        for r in &results {
-            row.push(pct(r[ui].ratio));
+        for vi in 0..variants.len() {
+            let ratio = aggs[vi * u_count + ui]
+                .mean("accepted")
+                .expect("fig6 records carry accepted");
+            row.push(pct(ratio));
         }
         table.row(row);
     }

@@ -9,9 +9,8 @@
 //!
 //! Run: `cargo run -p chebymc-bench --release --bin table2`
 
-use chebymc_bench::{pct, samples_per_benchmark, trace_from_env, Table};
-use mc_exp::catalog::{self, CatalogOptions};
-use mc_exp::{aggregate, run_campaign, RunConfig, Store};
+use chebymc_bench::{pct, run_catalog, samples_per_benchmark, trace_from_env, Table};
+use mc_exp::catalog::CatalogOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _trace = trace_from_env();
@@ -20,28 +19,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "TABLE II — The effect of n on task overrunning\n\
          (measured on {samples} sampled instances per application)\n"
     );
-    let campaign = catalog::build(
+    let aggs = run_catalog(
         "table2",
         &CatalogOptions {
             samples: Some(samples),
             ..CatalogOptions::default()
         },
     )?;
-    let mut store = Store::in_memory(&campaign.spec);
-    run_campaign(
-        &campaign.spec,
-        campaign.runner.as_ref(),
-        &mut store,
-        &RunConfig::default(),
-    )?;
-    let aggs = aggregate(&campaign.spec, store.records())?;
 
     // Points are benchmark-major with 5 factors each; the label's prefix
     // (before `/n…`) is the benchmark name.
     let n_count = 5;
-    let bench_count = campaign.spec.points.len() / n_count;
+    let bench_count = aggs.len() / n_count;
     let bench_name = |bi: usize| {
-        let label = &campaign.spec.points[bi * n_count].label;
+        let label = &aggs[bi * n_count].label;
         label.split('/').next().unwrap_or(label).to_string()
     };
     let mut header = vec!["".to_string(), "Analysis".to_string()];

@@ -7,6 +7,8 @@
 //! value and can be raised to the paper's 1000 via the `CHEBYMC_SETS`
 //! environment variable.
 
+use mc_exp::catalog::{self, CatalogOptions};
+use mc_exp::{aggregate, run_campaign, ExpError, PointAggregate, RunConfig, Store};
 use std::fmt::Write as _;
 
 /// Parses one scale variable's value: absent → `default`; present but not
@@ -102,6 +104,25 @@ pub fn trace_from_env() -> TraceGuard {
         std::process::exit(2);
     }
     TraceGuard { path: Some(path) }
+}
+
+/// Runs the catalog campaign `name` — the definition `chebymc exp run`
+/// executes — against an in-memory store on all cores, and returns its
+/// per-point means in point order.
+///
+/// # Errors
+///
+/// Campaign construction, unit and aggregation errors.
+pub fn run_catalog(name: &str, opts: &CatalogOptions) -> Result<Vec<PointAggregate>, ExpError> {
+    let campaign = catalog::build(name, opts)?;
+    let mut store = Store::in_memory(&campaign.spec);
+    run_campaign(
+        &campaign.spec,
+        campaign.runner.as_ref(),
+        &mut store,
+        &RunConfig::default(),
+    )?;
+    aggregate(&campaign.spec, store.records())
 }
 
 /// A simple aligned text table with an optional CSV mirror.

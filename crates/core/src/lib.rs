@@ -14,7 +14,8 @@
 //!   λ-fraction baselines the paper compares against.
 //! * [`metrics`] — design metrics: Eq. 10 (`P_MS`), Eqs. 11–12
 //!   (`max U_LC^LO`), Eq. 13 (objective), Eq. 8 (schedulability).
-//! * [`pipeline`] — batch evaluation over synthetic task sets (Figs. 3–6).
+//! * [`pipeline`] — per-set evaluation of synthetic task sets, the unit
+//!   the Figs. 3–6 and policy-arena campaigns average.
 //!
 //! # Example
 //!

@@ -1,9 +1,12 @@
-//! Batch evaluation pipelines behind the paper's Figs. 3–6.
+//! Per-set evaluation pipelines behind the paper's Figs. 3–6 and the
+//! policy arena.
 //!
 //! Each figure averages a metric over many synthetic task sets per
-//! utilisation point (1000 in the paper). The pipelines here generate the
-//! sets (seeded and reproducible), apply a [`WcetPolicy`], and aggregate
-//! design metrics or schedulability verdicts.
+//! utilisation point (1000 in the paper). A function here generates *one*
+//! set from its seed, applies a [`WcetPolicy`], and reports that set's
+//! design metrics, schedulability verdict, or arena row. The `mc-exp`
+//! catalog campaigns fan the sets out and average them, so every figure
+//! runs through one experiment path with resume, shards and serve.
 
 use crate::metrics::design_metrics;
 use crate::policy::WcetPolicy;
@@ -19,69 +22,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// How many task sets to average per point, and how to generate them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchConfig {
-    /// Task sets per utilisation point (the paper uses 1000).
-    pub task_sets: usize,
-    /// Base seed; the i-th set of the j-th point derives its own seed.
-    pub seed: u64,
-    /// Synthetic-workload parameters.
-    pub generator: GeneratorConfig,
-    /// Total thread budget for the batch (`0` = all available cores),
-    /// governing *both* parallelism layers: the per-set fan-out and each
-    /// set's inner GA evaluation share this one budget, so nesting never
-    /// oversubscribes. Results are bit-identical for any thread count —
-    /// every set draws from its own derived seed, and the GA keeps its
-    /// RNG on a single serial stream.
-    #[serde(default)]
-    pub threads: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            task_sets: 100,
-            seed: 0,
-            generator: GeneratorConfig::default(),
-            threads: 0,
-        }
-    }
-}
-
-impl BatchConfig {
-    fn validate(&self) -> Result<(), CoreError> {
-        if self.task_sets == 0 {
-            return Err(CoreError::InvalidPolicy {
-                reason: "batch needs at least one task set",
-            });
-        }
-        // The lint pass reports every bad generator range at once, where
-        // `GeneratorConfig::validate` stops at the first.
-        crate::fail_on_lint_errors(mc_lint::lint_generator_config(&self.generator))
-    }
-
-    fn set_seed(&self, point: usize, set: usize) -> u64 {
-        derive_set_seed(self.seed, point, set)
-    }
-
-    /// Builds the batch layer's worker pool and the per-set inner thread
-    /// count. The `threads` knob is a single budget governing *both*
-    /// parallelism layers: it is split across the per-set fan-out first
-    /// (the wider, better-balanced axis), and whatever is left over goes
-    /// to each set's inner GA evaluation — so batch × GA can never
-    /// oversubscribe the machine. A pipeline creates the pool once and
-    /// reuses it across all its utilisation points.
-    fn make_pool(&self) -> (mc_par::WorkerPool, usize) {
-        let (outer, inner) = mc_par::ThreadBudget::explicit(self.threads).split(self.task_sets);
-        (mc_par::WorkerPool::new(outer), inner.get())
-    }
-}
-
 /// Derives the seed of the `set`-th task set at the `point`-th axis point
-/// from a batch/campaign base seed. SplitMix-style mixing keeps the
-/// streams independent across points and sets. This is the seed contract
-/// shared by the batch pipelines here and by `mc-exp` campaign runners:
+/// from a campaign base seed. SplitMix-style mixing keeps the streams
+/// independent across points and sets. This is the seed contract the
+/// `mc-exp` campaign runners follow:
 /// any process that re-derives `(point, set)` gets bit-identical task
 /// sets, which is what makes sharded and resumed runs reproducible.
 #[must_use]
@@ -95,9 +39,7 @@ pub fn derive_set_seed(base_seed: u64, point: usize, set: usize) -> u64 {
 }
 
 /// Design metrics of one generated-and-designed task set — the per-unit
-/// quantity the Figs. 3–5 pipelines average, exposed so external drivers
-/// (the `mc-exp` campaign runner) can evaluate single sets and aggregate
-/// on their own without diverging from the in-process batch path.
+/// quantity the Figs. 3–5 campaigns average.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SetEvaluation {
     /// Mode-switch probability bound (Eq. 10).
@@ -112,10 +54,9 @@ pub struct SetEvaluation {
 /// `policy` (re-seeded to the same `seed`, inner parallelism pinned to
 /// `inner_threads`), and returns its design metrics.
 ///
-/// [`evaluate_policy_over_utilization`] is exactly a mean over calls of
-/// this function with `seed = derive_set_seed(batch.seed, point, set)`,
-/// so external drivers that follow the same seed contract reproduce the
-/// batch numbers bit-for-bit.
+/// The `fig3`, `fig4` and `fig5` campaigns average this function over
+/// `seed = derive_set_seed(campaign_seed, u_index, set)`, shared across
+/// policies so every policy designs the same task sets.
 ///
 /// # Errors
 ///
@@ -145,38 +86,9 @@ pub fn evaluate_policy_one_set(
     })
 }
 
-/// Evaluates `f(set_index)` for every set in the batch on `pool`. Order
-/// and values are independent of the thread count; the first error (by
-/// set index) wins.
-fn map_sets<R, F>(pool: &mc_par::WorkerPool, count: usize, f: F) -> Result<Vec<R>, CoreError>
-where
-    R: Send,
-    F: Fn(usize) -> Result<R, CoreError> + Sync,
-{
-    let mut slots: Vec<Option<Result<R, CoreError>>> = Vec::with_capacity(count);
-    slots.resize_with(count, || None);
-    pool.fill(&mut slots, |i| Some(f(i)));
-    slots
-        .into_iter()
-        .map(|r| r.expect("fill writes every slot"))
-        .collect()
-}
-
-/// Fail-fast static analysis of a policy's embedded configuration, so a
-/// misconfigured GA surfaces before the batch starts rather than once per
-/// generated task set.
-fn lint_policy(policy: &WcetPolicy) -> Result<(), CoreError> {
-    if let WcetPolicy::ChebyshevGa { ga, problem } = policy {
-        let mut lint = mc_lint::lint_ga_config(ga);
-        lint.merge(mc_lint::lint_problem_config(problem));
-        crate::fail_on_lint_errors(lint)?;
-    }
-    Ok(())
-}
-
-/// Re-seeds a policy's internal randomness so every task set in a batch
-/// gets an independent draw, and pins the policy's inner parallelism to
-/// the batch's per-set thread budget (see [`BatchConfig::make_pool`]).
+/// Re-seeds a policy's internal randomness so every task set gets an
+/// independent draw, and pins the policy's inner parallelism to the
+/// caller's per-set thread budget.
 fn reseed(policy: &WcetPolicy, seed: u64, inner_threads: usize) -> WcetPolicy {
     match policy {
         WcetPolicy::LambdaRange { lambda_min, .. } => WcetPolicy::LambdaRange {
@@ -193,63 +105,6 @@ fn reseed(policy: &WcetPolicy, seed: u64, inner_threads: usize) -> WcetPolicy {
         },
         other => other.clone(),
     }
-}
-
-/// Aggregated design metrics at one utilisation point (a Fig. 3/4/5 data
-/// point).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PolicyPoint {
-    /// The `U_HC^HI` target of the generated sets.
-    pub u_hc_hi: f64,
-    /// Mean mode-switch probability (Eq. 10) over the batch.
-    pub mean_p_ms: f64,
-    /// Mean `max(U_LC^LO)` (Eqs. 11–12) over the batch.
-    pub mean_max_u_lc_lo: f64,
-    /// Mean Eq. 13 objective over the batch.
-    pub mean_objective: f64,
-}
-
-/// Evaluates `policy` over HC-only task sets at each `U_HC^HI` in
-/// `u_values` — the engine behind Figs. 3–5.
-///
-/// # Errors
-///
-/// Propagates generation and assignment errors; returns
-/// [`CoreError::InvalidPolicy`] for an empty batch or empty `u_values`.
-pub fn evaluate_policy_over_utilization(
-    u_values: &[f64],
-    policy: &WcetPolicy,
-    batch: &BatchConfig,
-) -> Result<Vec<PolicyPoint>, CoreError> {
-    batch.validate()?;
-    lint_policy(policy)?;
-    if u_values.is_empty() {
-        return Err(CoreError::InvalidPolicy {
-            reason: "at least one utilisation point is required",
-        });
-    }
-    let (pool, inner_threads) = batch.make_pool();
-    let mut out = Vec::with_capacity(u_values.len());
-    for (pi, &u) in u_values.iter().enumerate() {
-        let _point_span = mc_obs::span("pipeline.point");
-        let per_set = map_sets(&pool, batch.task_sets, |si| {
-            evaluate_policy_one_set(
-                u,
-                policy,
-                &batch.generator,
-                batch.set_seed(pi, si),
-                inner_threads,
-            )
-        })?;
-        let n = batch.task_sets as f64;
-        out.push(PolicyPoint {
-            u_hc_hi: u,
-            mean_p_ms: per_set.iter().map(|r| r.p_ms).sum::<f64>() / n,
-            mean_max_u_lc_lo: per_set.iter().map(|r| r.max_u_lc_lo).sum::<f64>() / n,
-            mean_objective: per_set.iter().map(|r| r.objective).sum::<f64>() / n,
-        });
-    }
-    Ok(out)
 }
 
 /// The scheduling approach whose acceptance is measured in Fig. 6.
@@ -277,121 +132,40 @@ impl SchedulingApproach {
     }
 }
 
-/// One acceptance-ratio data point (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AcceptancePoint {
-    /// The generated bound utilisation `U_HC^HI + U_LC^LO`.
-    pub u_bound: f64,
-    /// Fraction of task sets deemed schedulable.
-    pub ratio: f64,
-}
-
-/// Measures the acceptance ratio of `policy` + `approach` over mixed task
-/// sets at each bound utilisation — the engine behind Fig. 6.
+/// Generates one mixed task set whose **LO-mode** utilisation reaches
+/// `u_bound`, with HC tasks budgeted the λ-baseline way (`C_LO = λᵢ·C_HI`,
+/// `λᵢ ∈ lambda_range`), and reports whether `approach` accepts it — the
+/// per-set verdict Fig. 6 averages into an acceptance ratio. With
+/// `scheme = None` the set is tested as generated (the published
+/// approaches); with `scheme = Some(policy)` the policy (re-seeded to
+/// `seed`, inner parallelism pinned to `inner_threads`) re-derives every
+/// `C_LO` first (the "+ our scheme" variants).
 ///
 /// # Errors
 ///
-/// Same conditions as [`evaluate_policy_over_utilization`].
-pub fn acceptance_ratio(
-    u_bounds: &[f64],
-    policy: &WcetPolicy,
-    approach: SchedulingApproach,
-    batch: &BatchConfig,
-) -> Result<Vec<AcceptancePoint>, CoreError> {
-    batch.validate()?;
-    lint_policy(policy)?;
-    if u_bounds.is_empty() {
-        return Err(CoreError::InvalidPolicy {
-            reason: "at least one utilisation point is required",
-        });
-    }
-    if let SchedulingApproach::LiuDegrade { fraction } = approach {
-        if !fraction.is_finite() || !(0.0..=1.0).contains(&fraction) {
-            return Err(CoreError::InvalidPolicy {
-                reason: "degradation fraction must be in [0, 1]",
-            });
-        }
-    }
-    let (pool, inner_threads) = batch.make_pool();
-    let mut out = Vec::with_capacity(u_bounds.len());
-    for (pi, &u) in u_bounds.iter().enumerate() {
-        let _point_span = mc_obs::span("pipeline.point");
-        let verdicts = map_sets(&pool, batch.task_sets, |si| {
-            let seed = batch.set_seed(pi, si);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut ts = {
-                let _span = mc_obs::span("pipeline.generate");
-                generate_mixed_taskset(u, &batch.generator, &mut rng).map_err(CoreError::Task)?
-            };
-            {
-                let _span = mc_obs::span("pipeline.assign");
-                reseed(policy, seed, inner_threads).assign(&mut ts)?;
-            }
-            let _span = mc_obs::span("pipeline.sched_test");
-            Ok(approach.schedulable(&ts))
-        })?;
-        let accepted = verdicts.iter().filter(|&&ok| ok).count();
-        out.push(AcceptancePoint {
-            u_bound: u,
-            ratio: accepted as f64 / batch.task_sets as f64,
-        });
-    }
-    Ok(out)
-}
-
-/// The Fig. 6 experiment proper: task sets whose **LO-mode** utilisation
-/// reaches `u_bound`, with HC tasks budgeted the λ-baseline way
-/// (`C_LO = λᵢ·C_HI`, `λᵢ ∈ lambda_range`). With `scheme = None` the sets
-/// are tested as generated (the published approaches); with
-/// `scheme = Some(policy)` the policy re-derives every `C_LO` first (the
-/// "+ our scheme" variants).
-///
-/// # Errors
-///
-/// Same conditions as [`acceptance_ratio`], plus generator validation of
-/// `lambda_range`.
-pub fn acceptance_ratio_lo_bounded(
-    u_bounds: &[f64],
+/// Propagates generation (including `lambda_range` validation) and
+/// assignment errors.
+pub fn evaluate_acceptance_one_set(
+    u_bound: f64,
     scheme: Option<&WcetPolicy>,
     approach: SchedulingApproach,
     lambda_range: (f64, f64),
-    batch: &BatchConfig,
-) -> Result<Vec<AcceptancePoint>, CoreError> {
-    batch.validate()?;
+    generator: &GeneratorConfig,
+    seed: u64,
+    inner_threads: usize,
+) -> Result<bool, CoreError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ts = {
+        let _span = mc_obs::span("pipeline.generate");
+        generate_lo_bounded_taskset(u_bound, lambda_range, generator, &mut rng)
+            .map_err(CoreError::Task)?
+    };
     if let Some(policy) = scheme {
-        lint_policy(policy)?;
+        let _span = mc_obs::span("pipeline.assign");
+        reseed(policy, seed, inner_threads).assign(&mut ts)?;
     }
-    if u_bounds.is_empty() {
-        return Err(CoreError::InvalidPolicy {
-            reason: "at least one utilisation point is required",
-        });
-    }
-    let (pool, inner_threads) = batch.make_pool();
-    let mut out = Vec::with_capacity(u_bounds.len());
-    for (pi, &u) in u_bounds.iter().enumerate() {
-        let _point_span = mc_obs::span("pipeline.point");
-        let verdicts = map_sets(&pool, batch.task_sets, |si| {
-            let seed = batch.set_seed(pi, si);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut ts = {
-                let _span = mc_obs::span("pipeline.generate");
-                generate_lo_bounded_taskset(u, lambda_range, &batch.generator, &mut rng)
-                    .map_err(CoreError::Task)?
-            };
-            if let Some(policy) = scheme {
-                let _span = mc_obs::span("pipeline.assign");
-                reseed(policy, seed, inner_threads).assign(&mut ts)?;
-            }
-            let _span = mc_obs::span("pipeline.sched_test");
-            Ok(approach.schedulable(&ts))
-        })?;
-        let accepted = verdicts.iter().filter(|&&ok| ok).count();
-        out.push(AcceptancePoint {
-            u_bound: u,
-            ratio: accepted as f64 / batch.task_sets as f64,
-        });
-    }
-    Ok(out)
+    let _span = mc_obs::span("pipeline.sched_test");
+    Ok(approach.schedulable(&ts))
 }
 
 /// What one scheduling policy did with one designed task set: the
@@ -536,53 +310,6 @@ mod tests {
     use super::*;
     use mc_opt::{GaConfig, ProblemConfig};
 
-    fn small_batch() -> BatchConfig {
-        BatchConfig {
-            task_sets: 20,
-            seed: 1,
-            generator: GeneratorConfig::default(),
-            threads: 0,
-        }
-    }
-
-    #[test]
-    fn results_are_identical_for_any_thread_count() {
-        let policy = WcetPolicy::ChebyshevUniform { n: 5.0 };
-        let us = [0.5, 0.8];
-        let mut single = small_batch();
-        single.threads = 1;
-        let mut many = small_batch();
-        many.threads = 7; // deliberately uneven vs. 20 sets
-        let a = evaluate_policy_over_utilization(&us, &policy, &single).unwrap();
-        let b = evaluate_policy_over_utilization(&us, &policy, &many).unwrap();
-        assert_eq!(a, b);
-        let ra =
-            acceptance_ratio(&us, &policy, SchedulingApproach::BaruahDropAll, &single).unwrap();
-        let rb = acceptance_ratio(&us, &policy, SchedulingApproach::BaruahDropAll, &many).unwrap();
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn ga_policy_results_are_identical_for_any_thread_count() {
-        // The nested case: the batch budget splits across the per-set
-        // fan-out and the GA's inner evaluation. Whatever the split,
-        // every set's GA must follow the same serial RNG stream.
-        let us = [0.6];
-        let runs: Vec<_> = [1usize, 2, 0]
-            .iter()
-            .map(|&threads| {
-                let batch = BatchConfig {
-                    threads,
-                    task_sets: 6,
-                    ..small_batch()
-                };
-                evaluate_policy_over_utilization(&us, &fast_ga_policy(), &batch).unwrap()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
-    }
-
     fn fast_ga_policy() -> WcetPolicy {
         WcetPolicy::ChebyshevGa {
             ga: GaConfig {
@@ -595,33 +322,19 @@ mod tests {
     }
 
     #[test]
-    fn one_set_evaluation_reconstructs_the_batch_mean() {
-        // The seed contract external drivers (mc-exp) rely on: averaging
-        // `evaluate_policy_one_set` over `derive_set_seed(seed, pi, si)`
-        // reproduces `evaluate_policy_over_utilization` bit-for-bit.
-        let batch = small_batch();
-        let policy = WcetPolicy::ChebyshevUniform { n: 4.0 };
-        let us = [0.5, 0.8];
-        let expected = evaluate_policy_over_utilization(&us, &policy, &batch).unwrap();
-        for (pi, &u) in us.iter().enumerate() {
-            let per_set: Vec<SetEvaluation> = (0..batch.task_sets)
-                .map(|si| {
-                    evaluate_policy_one_set(
-                        u,
-                        &policy,
-                        &batch.generator,
-                        derive_set_seed(batch.seed, pi, si),
-                        1,
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let n = batch.task_sets as f64;
-            let mean = per_set.iter().map(|r| r.objective).sum::<f64>() / n;
-            assert_eq!(mean.to_bits(), expected[pi].mean_objective.to_bits());
-            let mean_p = per_set.iter().map(|r| r.p_ms).sum::<f64>() / n;
-            assert_eq!(mean_p.to_bits(), expected[pi].mean_p_ms.to_bits());
-        }
+    fn ga_set_evaluation_is_identical_for_any_inner_thread_count() {
+        // Whatever inner budget a campaign hands a unit, the set's GA must
+        // follow the same serial RNG stream.
+        let gen = GeneratorConfig::default();
+        let seed = derive_set_seed(1, 0, 3);
+        let runs: Vec<_> = [1usize, 2, 0]
+            .iter()
+            .map(|&threads| {
+                evaluate_policy_one_set(0.6, &fast_ga_policy(), &gen, seed, threads).unwrap()
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], runs[2]);
     }
 
     #[test]
@@ -634,234 +347,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn policy_sweep_p_ms_grows_with_utilization() {
-        // Fig. 3a: more HC tasks → higher P_MS at fixed n.
-        let points = evaluate_policy_over_utilization(
-            &[0.3, 0.6, 0.9],
-            &WcetPolicy::ChebyshevUniform { n: 10.0 },
-            &small_batch(),
-        )
-        .unwrap();
-        assert!(points[0].mean_p_ms < points[2].mean_p_ms);
-        // Fig. 3b: max U_LC^LO falls with utilisation.
-        assert!(points[0].mean_max_u_lc_lo > points[2].mean_max_u_lc_lo);
+    /// Mean `P_MS` and `max U_LC^LO` of `policy` over 20 sets at `u`.
+    fn mean_design(u: f64, policy: &WcetPolicy) -> (f64, f64) {
+        let gen = GeneratorConfig::default();
+        let sets: Vec<SetEvaluation> = (0..20)
+            .map(|si| evaluate_policy_one_set(u, policy, &gen, derive_set_seed(1, 0, si), 1))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let mean = |f: fn(&SetEvaluation) -> f64| sets.iter().map(f).sum::<f64>() / 20.0;
+        (mean(|e| e.p_ms), mean(|e| e.max_u_lc_lo))
     }
 
     #[test]
     fn higher_n_lowers_p_ms_at_fixed_utilization() {
-        let batch = small_batch();
-        let low_n = evaluate_policy_over_utilization(
-            &[0.6],
-            &WcetPolicy::ChebyshevUniform { n: 2.0 },
-            &batch,
-        )
-        .unwrap();
-        let high_n = evaluate_policy_over_utilization(
-            &[0.6],
-            &WcetPolicy::ChebyshevUniform { n: 20.0 },
-            &batch,
-        )
-        .unwrap();
-        assert!(high_n[0].mean_p_ms < low_n[0].mean_p_ms);
-        assert!(high_n[0].mean_max_u_lc_lo <= low_n[0].mean_max_u_lc_lo + 1e-9);
+        let low_n = mean_design(0.6, &WcetPolicy::ChebyshevUniform { n: 2.0 });
+        let high_n = mean_design(0.6, &WcetPolicy::ChebyshevUniform { n: 20.0 });
+        assert!(high_n.0 < low_n.0);
+        assert!(high_n.1 <= low_n.1 + 1e-9);
+    }
+
+    /// Fraction of the 20 LO-bounded sets of axis point `point` (at `u`)
+    /// that Baruah's EDF-VD test accepts.
+    fn acceptance(point: usize, u: f64, scheme: Option<&WcetPolicy>) -> f64 {
+        let gen = GeneratorConfig::default();
+        let accepted = (0..20)
+            .filter(|&si| {
+                evaluate_acceptance_one_set(
+                    u,
+                    scheme,
+                    SchedulingApproach::BaruahDropAll,
+                    (0.25, 1.0),
+                    &gen,
+                    derive_set_seed(1, point, si),
+                    1,
+                )
+                .unwrap()
+            })
+            .count();
+        accepted as f64 / 20.0
     }
 
     #[test]
-    fn ga_policy_beats_lambda_baselines_on_objective() {
-        // The Fig. 5 headline, in miniature.
-        let batch = small_batch();
-        let us = [0.5, 0.8];
-        let ga = evaluate_policy_over_utilization(&us, &fast_ga_policy(), &batch).unwrap();
-        for baseline in crate::policy::paper_lambda_baselines() {
-            let base = evaluate_policy_over_utilization(&us, &baseline, &batch).unwrap();
-            for (g, b) in ga.iter().zip(&base) {
-                assert!(
-                    g.mean_objective >= b.mean_objective,
-                    "GA {} vs {} {} at U = {}",
-                    g.mean_objective,
-                    baseline.name(),
-                    b.mean_objective,
-                    g.u_hc_hi
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn acceptance_ratio_is_monotone_decreasing_in_u() {
-        let points = acceptance_ratio(
-            &[0.4, 0.7, 0.95],
-            &WcetPolicy::ChebyshevUniform { n: 5.0 },
-            SchedulingApproach::BaruahDropAll,
-            &small_batch(),
-        )
-        .unwrap();
-        assert!(points[0].ratio >= points[1].ratio);
-        assert!(points[1].ratio >= points[2].ratio);
-        assert_eq!(points[0].ratio, 1.0, "low utilisation accepts everything");
-    }
-
-    #[test]
-    fn scheme_accepts_more_than_lambda_baseline() {
-        // Fig. 6's headline: at high U_bound the Chebyshev scheme keeps a
-        // higher acceptance ratio than the λ ∈ [1/4, 1] baseline.
-        let batch = small_batch();
-        let us = [0.85];
-        let ours = acceptance_ratio(
-            &us,
-            &WcetPolicy::ChebyshevUniform { n: 3.0 },
-            SchedulingApproach::BaruahDropAll,
-            &batch,
-        )
-        .unwrap();
-        let baseline = acceptance_ratio(
-            &us,
-            &WcetPolicy::LambdaRange {
-                lambda_min: 0.25,
-                seed: 0,
-            },
-            SchedulingApproach::BaruahDropAll,
-            &batch,
-        )
-        .unwrap();
-        assert!(
-            ours[0].ratio >= baseline[0].ratio,
-            "ours {} vs baseline {}",
-            ours[0].ratio,
-            baseline[0].ratio
-        );
-    }
-
-    #[test]
-    fn fig6_pipeline_shows_scheme_advantage_at_high_bounds() {
+    fn fig6_sets_show_scheme_advantage_at_high_bounds() {
         // The paper's Fig. 6 shape: at a high LO-mode bound, the λ-designed
         // sets fail (hidden HI demand C_LO/λ) while the scheme-redesigned
         // ones keep passing.
-        let batch = small_batch();
-        let baseline = acceptance_ratio_lo_bounded(
-            &[0.6, 0.95],
+        let scheme = WcetPolicy::ChebyshevUniform { n: 3.0 };
+        // Low bound: everything passes either way.
+        assert_eq!(acceptance(0, 0.6, None), 1.0);
+        assert_eq!(acceptance(0, 0.6, Some(&scheme)), 1.0);
+        // High bound: the scheme strictly improves acceptance.
+        let baseline = acceptance(1, 0.95, None);
+        let with_scheme = acceptance(1, 0.95, Some(&scheme));
+        assert!(
+            with_scheme > baseline,
+            "scheme {with_scheme} vs baseline {baseline}"
+        );
+    }
+
+    #[test]
+    fn acceptance_rejects_a_bad_lambda_range() {
+        let err = evaluate_acceptance_one_set(
+            0.7,
             None,
             SchedulingApproach::BaruahDropAll,
-            (0.25, 1.0),
-            &batch,
+            (0.0, 1.0),
+            &GeneratorConfig::default(),
+            1,
+            1,
         )
-        .unwrap();
-        let with_scheme = acceptance_ratio_lo_bounded(
-            &[0.6, 0.95],
-            Some(&WcetPolicy::ChebyshevUniform { n: 3.0 }),
-            SchedulingApproach::BaruahDropAll,
-            (0.25, 1.0),
-            &batch,
-        )
-        .unwrap();
-        // Low bound: everything passes either way.
-        assert_eq!(baseline[0].ratio, 1.0);
-        assert_eq!(with_scheme[0].ratio, 1.0);
-        // High bound: the scheme strictly improves acceptance.
-        assert!(
-            with_scheme[1].ratio > baseline[1].ratio,
-            "scheme {} vs baseline {}",
-            with_scheme[1].ratio,
-            baseline[1].ratio
-        );
-    }
-
-    #[test]
-    fn liu_approach_validates_fraction() {
-        let r = acceptance_ratio(
-            &[0.5],
-            &WcetPolicy::Acet,
-            SchedulingApproach::LiuDegrade { fraction: 1.5 },
-            &small_batch(),
-        );
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn batches_are_reproducible() {
-        let batch = small_batch();
-        let policy = WcetPolicy::LambdaRange {
-            lambda_min: 0.125,
-            seed: 0,
-        };
-        let a =
-            acceptance_ratio(&[0.7], &policy, SchedulingApproach::BaruahDropAll, &batch).unwrap();
-        let b =
-            acceptance_ratio(&[0.7], &policy, SchedulingApproach::BaruahDropAll, &batch).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn misconfigured_ga_policy_fails_fast_with_a_lint_report() {
-        let bad = WcetPolicy::ChebyshevGa {
-            ga: GaConfig {
-                generations: 0,
-                tournament_size: 0,
-                ..GaConfig::default()
-            },
-            problem: ProblemConfig::default(),
-        };
-        let err = evaluate_policy_over_utilization(&[0.5], &bad, &small_batch()).unwrap_err();
-        match err {
-            CoreError::Lint(report) => {
-                // Both violations in one report, not just the first.
-                assert_eq!(report.count(mc_lint::Severity::Error), 2);
-            }
-            other => panic!("expected CoreError::Lint, got {other:?}"),
-        }
-        assert!(acceptance_ratio(
-            &[0.5],
-            &bad,
-            SchedulingApproach::BaruahDropAll,
-            &small_batch()
-        )
-        .is_err());
-        assert!(acceptance_ratio_lo_bounded(
-            &[0.5],
-            Some(&bad),
-            SchedulingApproach::BaruahDropAll,
-            (0.25, 1.0),
-            &small_batch()
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn bad_generator_config_reports_every_violation() {
-        let batch = BatchConfig {
-            generator: GeneratorConfig {
-                period_ms: (0, 10),
-                p_high: 2.0,
-                ..GeneratorConfig::default()
-            },
-            ..small_batch()
-        };
-        let err = evaluate_policy_over_utilization(&[0.5], &WcetPolicy::Acet, &batch).unwrap_err();
-        match err {
-            CoreError::Lint(report) => {
-                assert_eq!(report.count(mc_lint::Severity::Error), 2)
-            }
-            other => panic!("expected CoreError::Lint, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_inputs_are_rejected() {
-        let batch = small_batch();
-        assert!(evaluate_policy_over_utilization(&[], &WcetPolicy::Acet, &batch).is_err());
-        assert!(acceptance_ratio(
-            &[],
-            &WcetPolicy::Acet,
-            SchedulingApproach::BaruahDropAll,
-            &batch
-        )
-        .is_err());
-        let bad_batch = BatchConfig {
-            task_sets: 0,
-            ..batch
-        };
-        assert!(evaluate_policy_over_utilization(&[0.5], &WcetPolicy::Acet, &bad_batch).is_err());
+        .unwrap_err();
+        assert!(matches!(err, CoreError::Task(_)), "{err:?}");
     }
 
     fn arena_sim_base() -> SimConfig {

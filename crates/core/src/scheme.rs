@@ -32,9 +32,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ChebyshevScheme {
     /// GA hyper-parameters (paper §V defaults). `ga.threads` controls the
-    /// fitness-evaluation parallelism of a standalone design; batch
-    /// pipelines override it with their per-set budget (see
-    /// [`crate::pipeline::BatchConfig::threads`]).
+    /// fitness-evaluation parallelism of a standalone design; the per-set
+    /// pipelines in [`crate::pipeline`] override it with the inner budget
+    /// a campaign runner hands each unit.
     pub ga: GaConfig,
     /// Factor search-space configuration.
     pub problem: ProblemConfig,

@@ -1,8 +1,8 @@
 //! Property tests for the workspace seed contract.
 //!
 //! `derive_set_seed(base, point, set)` is the one function every driver —
-//! the in-process batch pipelines, the `mc-exp` campaign runner, the bench
-//! binaries — must agree on for results to be reproducible and mergeable.
+//! the `mc-exp` campaign runners, the bench binaries, the paper-claim
+//! tests — must agree on for results to be reproducible and mergeable.
 //! These properties pin the contract: determinism, sensitivity to every
 //! argument, and collision-freedom over realistic campaign grids.
 
@@ -85,7 +85,7 @@ fn derived_seeds_are_collision_free_over_campaign_grids() {
 
 /// The campaign runner's `unit_seed` must remain a thin wrapper over
 /// `derive_set_seed` — drift here would make `mc-exp` stores incomparable
-/// with in-process batch results for the same campaign seed.
+/// with in-process per-set results for the same campaign seed.
 #[test]
 fn exp_unit_seed_agrees_with_the_core_contract() {
     assert_prop(

@@ -1,10 +1,11 @@
 //! Per-point aggregation and CSV export.
 //!
 //! Aggregation sums each metric over a point's replicas *in replica
-//! order* before dividing — the same f64 summation order the in-process
-//! batch pipeline uses — so a campaign mean is bit-identical to the
-//! legacy [`chebymc_core::pipeline::evaluate_policy_over_utilization`]
-//! numbers when the runner follows the same seed contract.
+//! order* before dividing — the f64 summation order of the pre-campaign
+//! batch figures — so a catalog campaign reproduces their numbers
+//! bit-for-bit when its runner follows the same seed contract
+//! ([`chebymc_core::pipeline::derive_set_seed`]). A 0/1 metric such as
+//! `fig6`'s `accepted` sums exactly, so its mean is the exact ratio.
 
 use crate::spec::{CampaignSpec, Param};
 use crate::store::{Metric, UnitRecord};
@@ -30,6 +31,12 @@ impl PointAggregate {
     #[must_use]
     pub fn mean(&self, name: &str) -> Option<f64> {
         self.means.iter().find(|m| m.name == name).map(|m| m.value)
+    }
+
+    /// Looks up a point parameter by name.
+    #[must_use]
+    pub fn param(&self, name: &str) -> Option<f64> {
+        self.params.iter().find(|p| p.name == name).map(|p| p.value)
     }
 }
 

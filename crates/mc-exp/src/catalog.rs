@@ -1,32 +1,34 @@
 //! The built-in campaign catalog: the paper's experiments as declarative
-//! campaign definitions, shared by the migrated bench binaries and
-//! `chebymc exp`.
+//! campaign definitions, shared by the bench binaries and `chebymc exp`.
 //!
 //! Each entry pairs a [`CampaignSpec`] (the axis and replication) with a
 //! [`UnitRunner`] (how one unit is computed). Numeric parity with the
-//! legacy binaries is part of the contract:
+//! pre-campaign binaries is part of the contract:
 //!
-//! * `fig5` derives its *evaluation* seeds as
-//!   `derive_set_seed(campaign_seed, u_index, replica)` — the seeds the
-//!   in-process [`evaluate_policy_over_utilization`] batch would use —
-//!   so per-point means reproduce the legacy Fig. 5 numbers bit-for-bit.
-//!   (The framework's per-unit identity seed still follows the
-//!   `hash(seed, point, replica)` contract; the runner just re-derives
-//!   the legacy stream internally, because a campaign point is
-//!   *policy × utilisation* while the batch pipeline's point is
-//!   utilisation alone.)
+//! * The policy-major campaigns (`fig3`, `fig3_optimum`, `fig4`, `fig5`,
+//!   `fig6`, `policy_arena`, `automotive`) share one runner. It derives
+//!   each unit's *evaluation* seed as
+//!   `derive_set_seed(campaign_seed, u_index, replica)` — the stream the
+//!   old per-utilisation batches used, shared across policies — so
+//!   per-point means reproduce the legacy figures bit-for-bit. (The
+//!   framework's per-unit identity seed still follows the
+//!   `hash(seed, point, replica)` contract; the runner re-derives the
+//!   legacy stream internally, because a campaign point is
+//!   *policy × utilisation* while a batch point was utilisation alone.)
+//! * `fig3_optimum` draws every utilisation's sets from seed point 0: the
+//!   legacy binary ran one single-utilisation batch per `u`.
+//! * `fig6` units report `accepted` ∈ {0, 1}. Aggregation sums them in
+//!   replica order, so a mean is exactly the legacy count / n.
 //! * `table2` and `ablation_sigma` reuse the exact trace seeds of their
 //!   binaries (`200 + benchmark_index`, reference seed 999, probe seed 4).
-//!
-//! [`evaluate_policy_over_utilization`]: chebymc_core::pipeline::evaluate_policy_over_utilization
 
 use crate::run::UnitRunner;
 use crate::spec::{CampaignSpec, Param, PointSpec, WorkUnit};
 use crate::store::Metric;
 use crate::ExpError;
 use chebymc_core::pipeline::{
-    derive_set_seed, evaluate_arena_automotive_one_set, evaluate_arena_one_set,
-    evaluate_policy_one_set,
+    derive_set_seed, evaluate_acceptance_one_set, evaluate_arena_automotive_one_set,
+    evaluate_arena_one_set, evaluate_policy_one_set, ArenaEvaluation, SchedulingApproach,
 };
 use chebymc_core::policy::{paper_lambda_baselines, WcetPolicy};
 use mc_exec::benchmarks;
@@ -61,11 +63,12 @@ impl std::fmt::Debug for Campaign {
 /// keeps each campaign's paper-scale default.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CatalogOptions {
-    /// Task-set replicas per point (`fig5`).
+    /// Task-set replicas per point (the policy-major campaigns;
+    /// `fig3_optimum` runs a tenth of it, at least 10).
     pub sets: Option<usize>,
     /// Sampled instances per benchmark (`table2`).
     pub samples: Option<usize>,
-    /// Utilisation axis override (`fig5`).
+    /// Utilisation axis override (the policy-major campaigns).
     pub points: Option<Vec<f64>>,
     /// Campaign base seed.
     pub seed: Option<u64>,
@@ -77,7 +80,11 @@ pub struct CatalogOptions {
 #[must_use]
 pub fn names() -> &'static [&'static str] {
     &[
+        "fig3",
+        "fig3_optimum",
+        "fig4",
         "fig5",
+        "fig6",
         "table2",
         "ablation_sigma",
         "policy_arena",
@@ -93,7 +100,11 @@ pub fn names() -> &'static [&'static str] {
 /// failures.
 pub fn build(name: &str, opts: &CatalogOptions) -> Result<Campaign, ExpError> {
     match name {
+        "fig3" => Ok(fig3(opts)),
+        "fig3_optimum" => Ok(fig3_optimum(opts)),
+        "fig4" => Ok(fig4(opts)),
         "fig5" => Ok(fig5(opts)),
+        "fig6" => Ok(fig6(opts)),
         "table2" => table2(opts),
         "ablation_sigma" => Ok(ablation_sigma(opts)),
         "policy_arena" => policy_arena(opts),
@@ -124,8 +135,14 @@ pub fn rebuild(spec: &CampaignSpec) -> Result<Campaign, ExpError> {
         ..CatalogOptions::default()
     };
     match spec.name.as_str() {
-        "fig5" | "policy_arena" | "automotive" => {
-            opts.sets = Some(spec.replicas);
+        "fig3" | "fig3_optimum" | "fig4" | "fig5" | "fig6" | "policy_arena" | "automotive" => {
+            // `fig3_optimum` runs a tenth of `sets` (at least 10), so ten
+            // times its replica count rebuilds it exactly.
+            opts.sets = Some(if spec.name == "fig3_optimum" {
+                spec.replicas * 10
+            } else {
+                spec.replicas
+            });
             // Points are policy-major; the utilisation axis repeats per
             // policy, so the policy-0 block recovers it exactly.
             let u_values: Vec<f64> = spec
@@ -163,18 +180,200 @@ pub fn rebuild(spec: &CampaignSpec) -> Result<Campaign, ExpError> {
     Ok(campaign)
 }
 
-/// The Fig. 5 policy roster: the GA scheme, the paper's λ baselines, ACET.
+/// The runner of every policy-major campaign: point `p` evaluates policy
+/// `p / |u|` at utilisation index `p % |u|`, on a set drawn from
+/// `derive_set_seed(seed, u_index, replica)`. The seed ignores the policy,
+/// so every policy judges bit-identical task sets and each per-point
+/// comparison is paired.
+struct PolicySweep<P, F> {
+    policies: Vec<P>,
+    u_values: Vec<f64>,
+    seed: u64,
+    /// `false` draws every utilisation's sets from seed point 0 instead of
+    /// `u_index` (`fig3_optimum`'s legacy stream).
+    seed_per_u: bool,
+    /// Evaluates one set: `(policy, u, evaluation seed, inner threads)`.
+    eval: F,
+}
+
+impl<P, F> PolicySweep<P, F>
+where
+    P: Send + Sync + 'static,
+    F: Fn(&P, f64, u64, usize) -> Result<Vec<Metric>, ExpError> + Send + Sync + 'static,
+{
+    /// Wraps the sweep as campaign `name`, with points labelled
+    /// `<label(policy)>/u<u>` and `params` entering the fingerprint.
+    fn campaign(
+        self,
+        name: &str,
+        replicas: usize,
+        params: Vec<Param>,
+        label: impl Fn(&P) -> String,
+    ) -> Campaign {
+        let mut points = Vec::new();
+        for (pi, policy) in self.policies.iter().enumerate() {
+            let name = label(policy);
+            for (ui, &u) in self.u_values.iter().enumerate() {
+                points.push(PointSpec::new(
+                    format!("{name}/u{u:.2}"),
+                    vec![
+                        Param::new("policy", pi as f64),
+                        Param::new("u", u),
+                        Param::new("u_index", ui as f64),
+                    ],
+                ));
+            }
+        }
+        let spec = CampaignSpec {
+            name: name.into(),
+            seed: self.seed,
+            params,
+            points,
+            replicas,
+        };
+        Campaign {
+            spec,
+            runner: Box::new(self),
+        }
+    }
+}
+
+impl<P, F> UnitRunner for PolicySweep<P, F>
+where
+    P: Sync,
+    F: Fn(&P, f64, u64, usize) -> Result<Vec<Metric>, ExpError> + Sync,
+{
+    fn run_unit(&self, unit: &WorkUnit, inner_threads: usize) -> Result<Vec<Metric>, ExpError> {
+        let u_count = self.u_values.len();
+        let policy = &self.policies[unit.point / u_count];
+        let u_index = unit.point % u_count;
+        let seed_point = if self.seed_per_u { u_index } else { 0 };
+        let eval_seed = derive_set_seed(self.seed, seed_point, unit.replica);
+        (self.eval)(policy, self.u_values[u_index], eval_seed, inner_threads)
+    }
+}
+
+/// The HC utilisation axis of Figs. 3–5: 0.4, 0.5, …, 0.9.
+fn paper_u_axis(opts: &CatalogOptions) -> Vec<f64> {
+    opts.points
+        .clone()
+        .unwrap_or_else(|| (4..=9).map(|i| f64::from(i) / 10.0).collect())
+}
+
+/// Design metrics of one HC-only set under a WCET policy (Figs. 3–5).
+fn design_eval(
+    policy: &WcetPolicy,
+    u: f64,
+    seed: u64,
+    inner_threads: usize,
+) -> Result<Vec<Metric>, ExpError> {
+    let e = evaluate_policy_one_set(u, policy, &GeneratorConfig::default(), seed, inner_threads)?;
+    Ok(vec![
+        Metric::new("p_ms", e.p_ms),
+        Metric::new("max_u_lc_lo", e.max_u_lc_lo),
+        Metric::new("objective", e.objective),
+    ])
+}
+
+/// A design-metric sweep of `policies` over the Figs. 3–5 axis.
+fn design_sweep(
+    name: &str,
+    policies: Vec<WcetPolicy>,
+    seed: u64,
+    replicas: usize,
+    seed_per_u: bool,
+    opts: &CatalogOptions,
+) -> Campaign {
+    let sweep = PolicySweep {
+        policies,
+        u_values: paper_u_axis(opts),
+        seed,
+        seed_per_u,
+        eval: design_eval,
+    };
+    sweep.campaign(name, replicas, vec![], WcetPolicy::name)
+}
+
+/// The uniform factors of Fig. 3's columns.
 #[must_use]
-pub fn fig5_policies() -> Vec<WcetPolicy> {
-    let mut policies = vec![WcetPolicy::ChebyshevGa {
+pub fn fig3_n_values() -> Vec<f64> {
+    vec![2.0, 5.0, 10.0, 15.0, 20.0, 30.0]
+}
+
+/// The fine grid `fig3_optimum` searches for the best uniform factor.
+#[must_use]
+pub fn fig3_optimum_n_values() -> Vec<f64> {
+    (0..=40).map(f64::from).collect()
+}
+
+fn uniform_policies(n_values: Vec<f64>) -> Vec<WcetPolicy> {
+    n_values
+        .into_iter()
+        .map(|n| WcetPolicy::ChebyshevUniform { n })
+        .collect()
+}
+
+/// Fig. 3 (a)–(c): the design metrics of uniform `n` as `U_HC^HI` varies.
+fn fig3(opts: &CatalogOptions) -> Campaign {
+    design_sweep(
+        "fig3",
+        uniform_policies(fig3_n_values()),
+        opts.seed.unwrap_or(3),
+        opts.sets.unwrap_or(200),
+        true,
+        opts,
+    )
+}
+
+/// Fig. 3 (c)'s optimum-`n` column: every integer `n` in `0..=40` at a
+/// tenth of Fig. 3's sets (at least 10).
+fn fig3_optimum(opts: &CatalogOptions) -> Campaign {
+    design_sweep(
+        "fig3_optimum",
+        uniform_policies(fig3_optimum_n_values()),
+        opts.seed.unwrap_or(3),
+        (opts.sets.unwrap_or(200) / 10).max(10),
+        false,
+        opts,
+    )
+}
+
+/// The scheme's GA at the figures' scale: population 48, 40 generations.
+fn paper_ga() -> WcetPolicy {
+    WcetPolicy::ChebyshevGa {
         ga: GaConfig {
             population_size: 48,
             generations: 40,
             ..GaConfig::default()
         },
         problem: ProblemConfig::default(),
-    }];
+    }
+}
+
+/// The Fig. 4 policy roster: the GA scheme and the paper's λ baselines.
+#[must_use]
+pub fn fig4_policies() -> Vec<WcetPolicy> {
+    let mut policies = vec![paper_ga()];
     policies.extend(paper_lambda_baselines());
+    policies
+}
+
+/// Fig. 4: the GA scheme against the λ-range policies.
+fn fig4(opts: &CatalogOptions) -> Campaign {
+    design_sweep(
+        "fig4",
+        fig4_policies(),
+        opts.seed.unwrap_or(4),
+        opts.sets.unwrap_or(200),
+        true,
+        opts,
+    )
+}
+
+/// The Fig. 5 policy roster: the GA scheme, the paper's λ baselines, ACET.
+#[must_use]
+pub fn fig5_policies() -> Vec<WcetPolicy> {
+    let mut policies = fig4_policies();
     policies.push(WcetPolicy::Acet);
     policies
 }
@@ -182,72 +381,90 @@ pub fn fig5_policies() -> Vec<WcetPolicy> {
 /// Fig. 5: the Eq. 13 objective of every policy as `U_HC^HI` varies.
 /// Points are policy-major (`point = policy_index * |u| + u_index`).
 fn fig5(opts: &CatalogOptions) -> Campaign {
-    let seed = opts.seed.unwrap_or(5);
-    let replicas = opts.sets.unwrap_or(200);
-    let u_values: Vec<f64> = opts
-        .points
-        .clone()
-        .unwrap_or_else(|| (4..=9).map(|i| f64::from(i) / 10.0).collect());
-    let policies = fig5_policies();
-    let mut points = Vec::new();
-    for (pi, policy) in policies.iter().enumerate() {
-        for (ui, &u) in u_values.iter().enumerate() {
-            points.push(PointSpec::new(
-                format!("{}/u{u:.2}", policy.name()),
-                vec![
-                    Param::new("policy", pi as f64),
-                    Param::new("u", u),
-                    Param::new("u_index", ui as f64),
-                ],
-            ));
-        }
-    }
-    let spec = CampaignSpec {
-        name: "fig5".into(),
-        seed,
-        params: vec![],
-        points,
-        replicas,
-    };
-    let runner = Fig5Runner {
-        policies,
-        u_values,
-        seed,
-    };
-    Campaign {
-        spec,
-        runner: Box::new(runner),
-    }
+    design_sweep(
+        "fig5",
+        fig5_policies(),
+        opts.seed.unwrap_or(5),
+        opts.sets.unwrap_or(200),
+        true,
+        opts,
+    )
 }
 
-struct Fig5Runner {
-    policies: Vec<WcetPolicy>,
-    u_values: Vec<f64>,
+/// One Fig. 6 curve: a published scheduling approach, tested on the sets
+/// as generated or after the scheme re-derives every `C_LO`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fig6Variant {
+    /// The curve's name (`Baruah'12`, `Liu'16+scheme`, …).
+    pub name: &'static str,
+    /// The WCET policy applied before the test; `None` tests the sets as
+    /// generated.
+    pub scheme: Option<WcetPolicy>,
+    /// The schedulability test.
+    pub approach: SchedulingApproach,
+}
+
+/// The Fig. 6 curves: Baruah et al. RTNS'12 (LC dropped in HI mode) and
+/// Liu et al. RTSS'16 (LC degraded to 50 %), each without and with the
+/// scheme's GA.
+#[must_use]
+pub fn fig6_variants() -> Vec<Fig6Variant> {
+    let baruah = SchedulingApproach::BaruahDropAll;
+    let liu = SchedulingApproach::LiuDegrade { fraction: 0.5 };
+    let variant = |name, scheme, approach| Fig6Variant {
+        name,
+        scheme,
+        approach,
+    };
+    vec![
+        variant("Baruah'12", None, baruah),
+        variant("Baruah'12+scheme", Some(paper_ga()), baruah),
+        variant("Liu'16", None, liu),
+        variant("Liu'16+scheme", Some(paper_ga()), liu),
+    ]
+}
+
+/// Fig. 6's baseline budgets: `C_LO = λ·C_HI` with `λ ∈ [1/4, 1]`.
+const FIG6_LAMBDA_RANGE: (f64, f64) = (0.25, 1.0);
+
+/// Whether one LO-bounded set passes a Fig. 6 variant's test.
+fn acceptance_eval(
+    variant: &Fig6Variant,
+    u_bound: f64,
     seed: u64,
+    inner_threads: usize,
+) -> Result<Vec<Metric>, ExpError> {
+    let accepted = evaluate_acceptance_one_set(
+        u_bound,
+        variant.scheme.as_ref(),
+        variant.approach,
+        FIG6_LAMBDA_RANGE,
+        &GeneratorConfig::default(),
+        seed,
+        inner_threads,
+    )?;
+    Ok(vec![Metric::new(
+        "accepted",
+        if accepted { 1.0 } else { 0.0 },
+    )])
 }
 
-impl UnitRunner for Fig5Runner {
-    fn run_unit(&self, unit: &WorkUnit, inner_threads: usize) -> Result<Vec<Metric>, ExpError> {
-        let u_count = self.u_values.len();
-        let policy = &self.policies[unit.point / u_count];
-        let u_index = unit.point % u_count;
-        let u = self.u_values[u_index];
-        // The legacy batch stream: one seed per (utilisation, set), shared
-        // across policies so every policy designs the same task sets.
-        let eval_seed = derive_set_seed(self.seed, u_index, unit.replica);
-        let e = evaluate_policy_one_set(
-            u,
-            policy,
-            &GeneratorConfig::default(),
-            eval_seed,
-            inner_threads,
-        )?;
-        Ok(vec![
-            Metric::new("p_ms", e.p_ms),
-            Metric::new("max_u_lc_lo", e.max_u_lc_lo),
-            Metric::new("objective", e.objective),
-        ])
-    }
+/// Fig. 6: the acceptance ratio of each variant as the LO-mode bound
+/// utilisation grows from 0.5 to 1.0.
+fn fig6(opts: &CatalogOptions) -> Campaign {
+    let sweep = PolicySweep {
+        policies: fig6_variants(),
+        u_values: opts
+            .points
+            .clone()
+            .unwrap_or_else(|| (10..=20).map(|i| f64::from(i) / 20.0).collect()),
+        seed: opts.seed.unwrap_or(6),
+        seed_per_u: true,
+        eval: acceptance_eval,
+    };
+    sweep.campaign("fig6", opts.sets.unwrap_or(200), vec![], |v| {
+        v.name.to_string()
+    })
 }
 
 /// Table II: the `1/(1+n²)` analysis bound vs the measured overrun rate
@@ -395,95 +612,62 @@ fn arena_wcet() -> WcetPolicy {
 /// in the low-millisecond range.
 const ARENA_HORIZON_SECS: u64 = 5;
 
-/// `policy_arena`: every [`PolicySpec`] in the roster races over shared
-/// seeded task sets as the bound utilisation varies. Points are
-/// policy-major (`point = policy_index * |u| + u_index`), mirroring
-/// `fig5`; the *evaluation* seed depends only on `(u_index, replica)`, so
-/// each policy admits and simulates bit-identical task sets and the
-/// per-point comparison is paired.
-fn policy_arena(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
-    let seed = opts.seed.unwrap_or(11);
-    let replicas = opts.sets.unwrap_or(200);
-    // The default axis spans the overload transition: below 1.0 every
-    // entrant admits nearly everything; the interesting separation —
-    // demand vs utilisation tests, containment vs plain Liu — happens as
-    // the bound utilisation crosses 1.
-    let u_values: Vec<f64> = opts
-        .points
-        .clone()
-        .unwrap_or_else(|| vec![0.6, 0.8, 1.0, 1.1, 1.2, 1.3]);
+/// The six-column cross-policy comparison row of the arena campaigns.
+fn arena_metrics(e: ArenaEvaluation) -> Vec<Metric> {
+    vec![
+        Metric::new("schedulable", e.schedulable),
+        Metric::new("service_level", e.service_level),
+        Metric::new("switch_rate", e.switch_rate),
+        Metric::new("task_switch_rate", e.task_switch_rate),
+        Metric::new("lc_qos", e.lc_qos),
+        Metric::new("hc_miss_rate", e.hc_miss_rate),
+    ]
+}
+
+/// Gates the arena roster before any unit runs: a duplicate name would
+/// merge two policies into one aggregate row; a bad fraction would fail
+/// every unit of one policy block, thousands of units into the campaign.
+fn linted_roster() -> Result<Vec<PolicySpec>, ExpError> {
     let roster = PolicySpec::arena_roster();
-    // Gate the roster before any unit runs: a duplicate name would merge
-    // two policies into one aggregate row; a bad fraction would fail every
-    // unit of one policy block, thousands of units into the campaign.
     let lint = mc_lint::lint_policy_roster(&roster);
     if lint.has_errors() {
         return Err(ExpError::Config(format!(
             "policy roster failed lint:\n{lint}"
         )));
     }
-    let mut points = Vec::new();
-    for (pi, policy) in roster.iter().enumerate() {
-        for (ui, &u) in u_values.iter().enumerate() {
-            points.push(PointSpec::new(
-                format!("{}/u{u:.2}", policy.name()),
-                vec![
-                    Param::new("policy", pi as f64),
-                    Param::new("u", u),
-                    Param::new("u_index", ui as f64),
-                ],
-            ));
-        }
-    }
-    let spec = CampaignSpec {
-        name: "policy_arena".into(),
-        seed,
-        params: vec![],
-        points,
-        replicas,
+    Ok(roster)
+}
+
+/// `policy_arena`: every [`PolicySpec`] in the roster races over shared
+/// seeded task sets as the bound utilisation varies. Points are
+/// policy-major, mirroring `fig5`, so each policy admits and simulates
+/// bit-identical task sets and the per-point comparison is paired.
+fn policy_arena(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
+    // The default axis spans the overload transition: below 1.0 every
+    // entrant admits nearly everything; the interesting separation —
+    // demand vs utilisation tests, containment vs plain Liu — happens as
+    // the bound utilisation crosses 1.
+    let sweep = PolicySweep {
+        policies: linted_roster()?,
+        u_values: opts
+            .points
+            .clone()
+            .unwrap_or_else(|| vec![0.6, 0.8, 1.0, 1.1, 1.2, 1.3]),
+        seed: opts.seed.unwrap_or(11),
+        seed_per_u: true,
+        eval: |policy: &PolicySpec, u: f64, seed: u64, _inner: usize| {
+            let base = SimConfig::new(Duration::from_secs(ARENA_HORIZON_SECS));
+            let gen = GeneratorConfig::default();
+            let e = evaluate_arena_one_set(u, &arena_wcet(), policy, &gen, seed, &base)?;
+            Ok(arena_metrics(e))
+        },
     };
-    Ok(Campaign {
-        spec,
-        runner: Box::new(PolicyArenaRunner {
-            roster,
-            u_values,
-            seed,
-        }),
-    })
-}
-
-struct PolicyArenaRunner {
-    roster: Vec<PolicySpec>,
-    u_values: Vec<f64>,
-    seed: u64,
-}
-
-impl UnitRunner for PolicyArenaRunner {
-    fn run_unit(&self, unit: &WorkUnit, _inner_threads: usize) -> Result<Vec<Metric>, ExpError> {
-        let u_count = self.u_values.len();
-        let policy = &self.roster[unit.point / u_count];
-        let u_index = unit.point % u_count;
-        let u = self.u_values[u_index];
-        // Policy-independent seed: every policy sees the same task sets.
-        let eval_seed = derive_set_seed(self.seed, u_index, unit.replica);
-        let base = SimConfig::new(Duration::from_secs(ARENA_HORIZON_SECS));
-        let e = evaluate_arena_one_set(
-            u,
-            &arena_wcet(),
-            policy,
-            &GeneratorConfig::default(),
-            eval_seed,
-            &base,
-        )?;
-        Ok(vec![
-            Metric::new("schedulable", e.schedulable),
-            Metric::new("service_level", e.service_level),
-            Metric::new("switch_rate", e.switch_rate),
-            Metric::new("task_switch_rate", e.task_switch_rate),
-            Metric::new("lc_qos", e.lc_qos),
-            Metric::new("hc_miss_rate", e.hc_miss_rate),
-        ])
-    }
+    Ok(sweep.campaign(
+        "policy_arena",
+        opts.sets.unwrap_or(200),
+        vec![],
+        PolicySpec::name,
+    ))
 }
 
 /// The automotive arena's simulation window. The Bosch period table spans
@@ -495,21 +679,12 @@ const AUTOMOTIVE_HORIZON_SECS: u64 = 1;
 /// `automotive`: the policy roster races over Bosch-calibrated task sets —
 /// engine-style period/share bins, factor-matrix BCET/ACET/WCET triples,
 /// and per-task fitted Weibull execution times — as the bound utilisation
-/// varies. Points are policy-major like `fig5`/`policy_arena`, and the
-/// evaluation seed again depends only on `(u_index, replica)`, so the
+/// varies. Points are policy-major like `fig5`/`policy_arena`, so the
 /// per-point comparison is paired. The runnable count rides in
 /// `spec.params`: changing the scale changes the fingerprint, and a store
 /// generated at one scale refuses to resume at another.
 fn automotive(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
-    let seed = opts.seed.unwrap_or(17);
-    let replicas = opts.sets.unwrap_or(50);
     let runnables = opts.runnables.unwrap_or(1000);
-    // The default axis brackets the design point: automotive sets are
-    // generated against a budget utilisation, so the interesting spread —
-    // how much LC service each policy salvages once Weibull tails start
-    // forcing switches — shows up well below the synthetic arena's
-    // overload axis.
-    let u_values: Vec<f64> = opts.points.clone().unwrap_or_else(|| vec![0.5, 0.7, 0.9]);
     let config = AutomotiveConfig {
         runnables,
         ..AutomotiveConfig::default()
@@ -517,83 +692,36 @@ fn automotive(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
     // Gate both the roster and the generator before any unit runs: a bad
     // runnable count or a corrupted calibration table would otherwise fail
     // every unit, thousands of units into the campaign.
-    let lint = mc_lint::lint_policy_roster(&PolicySpec::arena_roster());
-    if lint.has_errors() {
-        return Err(ExpError::Config(format!(
-            "policy roster failed lint:\n{lint}"
-        )));
-    }
+    let policies = linted_roster()?;
     let lint = mc_lint::lint_automotive_config(&config);
     if lint.has_errors() {
         return Err(ExpError::Config(format!(
             "automotive generator failed lint:\n{lint}"
         )));
     }
-    let roster = PolicySpec::arena_roster();
-    let mut points = Vec::new();
-    for (pi, policy) in roster.iter().enumerate() {
-        for (ui, &u) in u_values.iter().enumerate() {
-            points.push(PointSpec::new(
-                format!("{}/u{u:.2}", policy.name()),
-                vec![
-                    Param::new("policy", pi as f64),
-                    Param::new("u", u),
-                    Param::new("u_index", ui as f64),
-                ],
-            ));
-        }
-    }
-    let spec = CampaignSpec {
-        name: "automotive".into(),
-        seed,
-        params: vec![Param::new("runnables", runnables as f64)],
-        points,
-        replicas,
+    // The default axis brackets the design point: automotive sets are
+    // generated against a budget utilisation, so the interesting spread —
+    // how much LC service each policy salvages once Weibull tails start
+    // forcing switches — shows up well below the synthetic arena's
+    // overload axis.
+    let sweep = PolicySweep {
+        policies,
+        u_values: opts.points.clone().unwrap_or_else(|| vec![0.5, 0.7, 0.9]),
+        seed: opts.seed.unwrap_or(17),
+        seed_per_u: true,
+        eval: move |policy: &PolicySpec, u: f64, seed: u64, _inner: usize| {
+            let base = SimConfig::new(Duration::from_secs(AUTOMOTIVE_HORIZON_SECS));
+            let e =
+                evaluate_arena_automotive_one_set(u, &arena_wcet(), policy, &config, seed, &base)?;
+            Ok(arena_metrics(e))
+        },
     };
-    Ok(Campaign {
-        spec,
-        runner: Box::new(AutomotiveRunner {
-            roster,
-            u_values,
-            seed,
-            config,
-        }),
-    })
-}
-
-struct AutomotiveRunner {
-    roster: Vec<PolicySpec>,
-    u_values: Vec<f64>,
-    seed: u64,
-    config: AutomotiveConfig,
-}
-
-impl UnitRunner for AutomotiveRunner {
-    fn run_unit(&self, unit: &WorkUnit, _inner_threads: usize) -> Result<Vec<Metric>, ExpError> {
-        let u_count = self.u_values.len();
-        let policy = &self.roster[unit.point / u_count];
-        let u_index = unit.point % u_count;
-        let u = self.u_values[u_index];
-        // Policy-independent seed: every policy sees the same task sets.
-        let eval_seed = derive_set_seed(self.seed, u_index, unit.replica);
-        let base = SimConfig::new(Duration::from_secs(AUTOMOTIVE_HORIZON_SECS));
-        let e = evaluate_arena_automotive_one_set(
-            u,
-            &arena_wcet(),
-            policy,
-            &self.config,
-            eval_seed,
-            &base,
-        )?;
-        Ok(vec![
-            Metric::new("schedulable", e.schedulable),
-            Metric::new("service_level", e.service_level),
-            Metric::new("switch_rate", e.switch_rate),
-            Metric::new("task_switch_rate", e.task_switch_rate),
-            Metric::new("lc_qos", e.lc_qos),
-            Metric::new("hc_miss_rate", e.hc_miss_rate),
-        ])
-    }
+    Ok(sweep.campaign(
+        "automotive",
+        opts.sets.unwrap_or(50),
+        vec![Param::new("runnables", runnables as f64)],
+        PolicySpec::name,
+    ))
 }
 
 fn exec_err(e: mc_exec::ExecError) -> ExpError {
@@ -603,18 +731,24 @@ fn exec_err(e: mc_exec::ExecError) -> ExpError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{run_campaign, RunConfig};
+    use crate::run::{run_campaign, RunConfig, Shard};
     use crate::store::Store;
 
     #[test]
     fn unknown_campaigns_name_the_known_ones() {
-        let err = build("fig6", &CatalogOptions::default()).unwrap_err();
+        let err = build("no_such_campaign", &CatalogOptions::default()).unwrap_err();
         assert!(err.to_string().contains("fig5"), "{err}");
     }
 
     #[test]
     fn rebuild_round_trips_every_catalog_campaign() {
-        let cases: Vec<(&str, CatalogOptions)> = vec![
+        let overridden = CatalogOptions {
+            sets: Some(30),
+            points: Some(vec![0.5, 0.7]),
+            seed: Some(42),
+            ..CatalogOptions::default()
+        };
+        let mut cases: Vec<(&str, CatalogOptions)> = vec![
             (
                 "fig5",
                 CatalogOptions {
@@ -654,6 +788,10 @@ mod tests {
             ),
             ("automotive", CatalogOptions::default()),
         ];
+        for name in ["fig3", "fig3_optimum", "fig4", "fig6"] {
+            cases.push((name, CatalogOptions::default()));
+            cases.push((name, overridden.clone()));
+        }
         for (name, opts) in cases {
             let original = build(name, &opts).unwrap();
             let rebuilt = rebuild(&original.spec).unwrap();
@@ -677,7 +815,7 @@ mod tests {
             ExpError::Mismatch { .. }
         ));
         let mut unknown = spec;
-        unknown.name = "fig6".into();
+        unknown.name = "no_such_campaign".into();
         assert!(matches!(
             rebuild(&unknown).unwrap_err(),
             ExpError::Config(_)
@@ -720,6 +858,159 @@ mod tests {
         .unwrap();
         assert_eq!(metrics[2].name, "objective");
         assert_eq!(metrics[2].value.to_bits(), expected.objective.to_bits());
+    }
+
+    #[test]
+    fn fig3_and_fig4_axes_follow_the_legacy_binaries() {
+        let c = build("fig3", &CatalogOptions::default()).unwrap();
+        assert_eq!((c.spec.seed, c.spec.replicas), (3, 200));
+        assert_eq!(c.spec.points.len(), 6 * 6, "6 factors × 6 utilisations");
+        assert_eq!(c.spec.points[0].label, "chebyshev-n2/u0.40");
+        assert_eq!(c.spec.points[35].label, "chebyshev-n30/u0.90");
+        let opt = build("fig3_optimum", &CatalogOptions::default()).unwrap();
+        assert_eq!((opt.spec.seed, opt.spec.replicas), (3, 20));
+        assert_eq!(opt.spec.points.len(), 41 * 6, "n ∈ 0..=40 × 6 utilisations");
+        assert_eq!(opt.spec.points[245].label, "chebyshev-n40/u0.90");
+        // A tenth of the sets, never fewer than ten.
+        for (sets, replicas) in [(1000, 100), (50, 10), (3, 10)] {
+            let opts = CatalogOptions {
+                sets: Some(sets),
+                ..CatalogOptions::default()
+            };
+            assert_eq!(
+                build("fig3_optimum", &opts).unwrap().spec.replicas,
+                replicas
+            );
+        }
+        let fig4 = build("fig4", &CatalogOptions::default()).unwrap();
+        assert_eq!((fig4.spec.seed, fig4.spec.replicas), (4, 200));
+        let mut fig5 = fig5_policies();
+        assert_eq!(fig5.pop(), Some(WcetPolicy::Acet));
+        assert_eq!(fig4_policies(), fig5, "fig4 is fig5 without ACET");
+        assert_eq!(fig4.spec.points.len(), 4 * 6);
+    }
+
+    #[test]
+    fn fig3_units_reproduce_the_legacy_seed_streams() {
+        let opts = CatalogOptions {
+            sets: Some(10),
+            points: Some(vec![0.5, 0.7]),
+            ..CatalogOptions::default()
+        };
+        let unit_objective = |name: &str, index: usize| {
+            let c = build(name, &opts).unwrap();
+            let metrics = c.runner.run_unit(&c.spec.unit(index), 1).unwrap();
+            assert_eq!(metrics[2].name, "objective");
+            metrics[2].value.to_bits()
+        };
+        let expected = |n: f64, u: f64, point: usize, set: usize| {
+            let policy = WcetPolicy::ChebyshevUniform { n };
+            let seed = derive_set_seed(3, point, set);
+            let e = evaluate_policy_one_set(u, &policy, &GeneratorConfig::default(), seed, 1);
+            e.unwrap().objective.to_bits()
+        };
+        // fig3: n = 5 (policy 1) at u = 0.7 (u index 1), replica 2 →
+        // point 3, unit 3·10 + 2; its sets come from seed point 1.
+        assert_eq!(unit_objective("fig3", 32), expected(5.0, 0.7, 1, 2));
+        // fig3_optimum: n = 4 (policy 4) at u = 0.7, replica 2 → point 9,
+        // unit 9·10 + 2; every utilisation keeps seed point 0.
+        assert_eq!(unit_objective("fig3_optimum", 92), expected(4.0, 0.7, 0, 2));
+    }
+
+    #[test]
+    fn fig6_axis_and_units_follow_the_legacy_binary() {
+        let c = build("fig6", &CatalogOptions::default()).unwrap();
+        assert_eq!((c.spec.seed, c.spec.replicas), (6, 200));
+        assert_eq!(c.spec.points.len(), 4 * 11, "4 variants × 11 bounds");
+        assert_eq!(c.spec.points[0].label, "Baruah'12/u0.50");
+        assert_eq!(c.spec.points[43].label, "Liu'16+scheme/u1.00");
+        assert_eq!(c.spec.points[12].param("u"), Some(0.55));
+        let opts = CatalogOptions {
+            sets: Some(3),
+            points: Some(vec![0.9]),
+            ..CatalogOptions::default()
+        };
+        let c = build("fig6", &opts).unwrap();
+        // Baruah'12+scheme (variant 1) at the single bound, replica 2.
+        let metrics = c.runner.run_unit(&c.spec.unit(3 + 2), 1).unwrap();
+        let variant = &fig6_variants()[1];
+        let accepted = evaluate_acceptance_one_set(
+            0.9,
+            variant.scheme.as_ref(),
+            variant.approach,
+            (0.25, 1.0),
+            &GeneratorConfig::default(),
+            derive_set_seed(6, 0, 2),
+            1,
+        )
+        .unwrap();
+        assert_eq!(
+            metrics,
+            vec![Metric::new("accepted", f64::from(u8::from(accepted)))]
+        );
+    }
+
+    #[test]
+    fn new_campaigns_are_byte_identical_across_threads_and_shards() {
+        let opts = CatalogOptions {
+            sets: Some(2),
+            points: Some(vec![0.8]),
+            ..CatalogOptions::default()
+        };
+        for name in ["fig3", "fig3_optimum", "fig4", "fig6"] {
+            let c = build(name, &opts).unwrap();
+            let run = |threads, shard| {
+                let mut store = Store::in_memory(&c.spec);
+                let cfg = RunConfig {
+                    threads,
+                    shard,
+                    progress: false,
+                };
+                run_campaign(&c.spec, c.runner.as_ref(), &mut store, &cfg).unwrap();
+                store
+            };
+            let serial = run(1, Shard::default()).canonical_lines();
+            assert_eq!(run(3, Shard::default()).canonical_lines(), serial, "{name}");
+            let halves = [
+                run(2, Shard { index: 0, count: 2 }),
+                run(1, Shard { index: 1, count: 2 }),
+            ];
+            let merged = Store::merge(&halves).unwrap();
+            assert_eq!(merged.canonical_lines(), serial, "{name}");
+        }
+    }
+
+    #[test]
+    fn fig6_means_are_exact_accepted_fractions() {
+        let opts = CatalogOptions {
+            sets: Some(4),
+            points: Some(vec![0.5, 1.0]),
+            ..CatalogOptions::default()
+        };
+        let c = build("fig6", &opts).unwrap();
+        let mut store = Store::in_memory(&c.spec);
+        run_campaign(
+            &c.spec,
+            c.runner.as_ref(),
+            &mut store,
+            &RunConfig::default(),
+        )
+        .unwrap();
+        let aggs = crate::aggregate::aggregate(&c.spec, store.records()).unwrap();
+        for agg in &aggs {
+            let accepted = store
+                .records()
+                .iter()
+                .filter(|r| r.point == agg.point && r.metrics[0].value == 1.0)
+                .count();
+            let ratio = agg.mean("accepted").unwrap();
+            assert_eq!(ratio.to_bits(), (accepted as f64 / 4.0).to_bits());
+        }
+        // Everything fits at a LO-mode bound of 0.5.
+        assert!(aggs
+            .iter()
+            .step_by(2)
+            .all(|a| a.mean("accepted") == Some(1.0)));
     }
 
     #[test]

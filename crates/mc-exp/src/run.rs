@@ -125,6 +125,10 @@ struct Sink<'a> {
     store: &'a mut Store,
     next: usize,
     pending: BTreeMap<usize, UnitRecord>,
+    /// Replicas each axis point still lacks in the store, kept per append
+    /// so progress costs O(1) per record rather than a store rescan.
+    missing: Vec<usize>,
+    points_done: usize,
     progress: Progress,
     error: Option<ExpError>,
 }
@@ -133,18 +137,21 @@ impl Sink<'_> {
     /// Accepts the `session_pos`-th unit's record, flushing every
     /// record that is now in order. Returns `false` once the session
     /// should stop (an append failed).
-    fn complete(&mut self, session_pos: usize, record: UnitRecord, spec: &CampaignSpec) -> bool {
+    fn complete(&mut self, session_pos: usize, record: UnitRecord) -> bool {
         self.pending.insert(session_pos, record);
         while let Some(record) = self.pending.remove(&self.next) {
+            let point = record.point;
             if let Err(e) = self.store.append(record) {
                 self.error = Some(e);
                 return false;
             }
             self.next += 1;
-            let points_done =
-                crate::accounting::points_complete(spec, |u| self.store.is_complete(u));
+            self.missing[point] -= 1;
+            if self.missing[point] == 0 {
+                self.points_done += 1;
+            }
             self.progress
-                .unit_done(self.store.completed_count(), points_done);
+                .unit_done(self.store.completed_count(), self.points_done);
         }
         true
     }
@@ -203,10 +210,17 @@ pub fn run_campaign(
     let pool = mc_par::WorkerPool::new(outer);
 
     let progress = Progress::new(cfg.progress, total_units, spec.points.len(), session.len());
+    let mut missing = vec![spec.replicas; spec.points.len()];
+    for unit in (0..total_units).filter(|&i| store.is_complete(i)) {
+        missing[unit / spec.replicas] -= 1;
+    }
+    let points_done = missing.iter().filter(|&&m| m == 0).count();
     let sink = Mutex::new(Sink {
         store,
         next: 0,
         pending: BTreeMap::new(),
+        missing,
+        points_done,
         progress,
         error: None,
     });
@@ -223,9 +237,7 @@ pub fn run_campaign(
                     seed: unit.seed,
                     metrics,
                 };
-                sink.lock()
-                    .expect("sink poisoned")
-                    .complete(pos, record, spec)
+                sink.lock().expect("sink poisoned").complete(pos, record)
             }
             Err(e) => {
                 sink.lock().expect("sink poisoned").fail(e);

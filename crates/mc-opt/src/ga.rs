@@ -97,8 +97,8 @@ pub struct GaConfig {
     /// Worker threads for fitness evaluation: `0` = all available cores,
     /// `1` = serial. A pure performance knob — results are bit-identical
     /// for any value because the RNG never leaves the serial variation
-    /// phase. Batch pipelines that already fan out over task sets force
-    /// this to their per-job [`mc_par::ThreadBudget`] (usually 1) so the
+    /// phase. Campaign runners that already fan out over task sets force
+    /// this to their per-unit [`mc_par::ThreadBudget`] (usually 1) so the
     /// two layers never oversubscribe the machine.
     #[serde(default)]
     pub threads: usize,

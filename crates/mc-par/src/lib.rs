@@ -1,8 +1,8 @@
 //! Deterministic shared worker pool for the `chebymc` workspace.
 //!
-//! Every parallel hot path in the workspace — the batch pipelines that fan
-//! out over synthetic task sets and the GA's per-generation fitness
-//! evaluation — shares the same execution model: a fixed index range
+//! Every parallel hot path in the workspace — the campaign runner that
+//! fans out over work units (synthetic task sets) and the GA's
+//! per-generation fitness evaluation — shares the same execution model: a fixed index range
 //! `0..count`, a pure function per index, and results written to
 //! per-index slots. That model is *deterministic by construction*: the
 //! value at index `i` never depends on which thread computes it or in
@@ -11,17 +11,17 @@
 //! This crate extracts that model into two pieces:
 //!
 //! * [`ThreadBudget`] — an explicit thread budget. Nested parallelism
-//!   (batch layer × GA layer) splits one budget instead of oversubscribing
+//!   (unit layer × GA layer) splits one budget instead of oversubscribing
 //!   the machine: the outer fan-out claims its workers via
 //!   [`ThreadBudget::split`] and hands each job the remaining per-job
 //!   budget (usually 1, i.e. a serial inner GA).
 //! * [`WorkerPool`] — a persistent pool of parked worker threads. Workers
 //!   are spawned once and reused across dispatches (a GA reuses one pool
-//!   for all its generations; a batch pipeline for all its utilisation
-//!   points), so the per-dispatch cost is a wake/park cycle, not a thread
-//!   spawn. The calling thread always participates in the work, so a pool
-//!   of budget `n` uses `n − 1` spawned workers and dispatching on a
-//!   busy/empty pool can never deadlock.
+//!   for all its generations; a campaign session for all its units), so
+//!   the per-dispatch cost is a wake/park cycle, not a thread spawn. The
+//!   calling thread always participates in the work, so a pool of budget
+//!   `n` uses `n − 1` spawned workers and dispatching on a busy/empty pool
+//!   can never deadlock.
 //!
 //! Work is distributed by an atomic chunk cursor (dynamic self-scheduling),
 //! which balances uneven per-index cost without affecting results.
@@ -502,8 +502,9 @@ impl WorkerPool {
     /// Computes `out[i] = f(i)` for every slot of `out` in parallel.
     ///
     /// This is the allocation-free workhorse behind the GA's fitness
-    /// evaluation and the batch pipelines: callers keep reusable output
-    /// buffers and the pool scatters results straight into them.
+    /// evaluation, the grid sweep and the source audit's file scan:
+    /// callers keep reusable output buffers and the pool scatters results
+    /// straight into them.
     pub fn fill<T, F>(&self, out: &mut [T], f: F)
     where
         T: Send,

@@ -6,7 +6,7 @@ use super::LcPolicy;
 use crate::analysis::edf_vd;
 use crate::SchedError;
 use mc_task::time::{Duration, Instant};
-use mc_task::{Criticality, TaskSet};
+use mc_task::{Criticality, McTask, TaskSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -102,27 +102,32 @@ impl SimConfig {
 /// a batch of releases, a budget crossing, or a completion or deadline kill
 /// (at most one of each per job). Three per release suffice; the fourth is
 /// margin.
-const EVENTS_PER_RELEASE: u64 = 4;
+pub(super) const EVENTS_PER_RELEASE: u64 = 4;
 
-/// The event-loop guard for `ts` over `horizon`: Σᵢ (⌊horizon/Pᵢ⌋ + 1)
-/// release attempts times [`EVENTS_PER_RELEASE`], so a valid run of any
-/// length never trips it.
+/// The event-loop guard for tasks of the given `periods` over `horizon`:
+/// Σᵢ (⌊horizon/Pᵢ⌋ + 1) release attempts times `events_per_release`, plus
+/// two, so a valid run of any length never trips it. The dual engine
+/// passes [`EVENTS_PER_RELEASE`]; the multi-level engine adds one budget
+/// crossing per level above two.
 ///
 /// # Errors
 ///
 /// Returns [`SchedError::SimulationDiverged`] for a zero period (a task
 /// that would release forever at one instant).
-pub(super) fn event_bound(ts: &TaskSet, horizon: Duration) -> Result<u64, SchedError> {
+pub(super) fn event_bound(
+    periods: impl IntoIterator<Item = Duration>,
+    horizon: Duration,
+    events_per_release: u64,
+) -> Result<u64, SchedError> {
     let mut releases: u64 = 0;
-    for task in ts.iter() {
-        let period = task.period().as_nanos();
-        if period == 0 {
+    for period in periods {
+        if period.is_zero() {
             return Err(SchedError::SimulationDiverged);
         }
-        releases = releases.saturating_add(horizon.as_nanos() / period + 1);
+        releases = releases.saturating_add(horizon.as_nanos() / period.as_nanos() + 1);
     }
     Ok(releases
-        .saturating_mul(EVENTS_PER_RELEASE)
+        .saturating_mul(events_per_release)
         .saturating_add(2))
 }
 
@@ -328,7 +333,11 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
         Some(x) => x,
         None => edf_vd::x_factor(ts.u_hc_lo(), ts.u_lc_lo()).unwrap_or(1.0),
     };
-    let max_events = event_bound(ts, cfg.horizon)?;
+    let max_events = event_bound(
+        ts.iter().map(McTask::period),
+        cfg.horizon,
+        EVENTS_PER_RELEASE,
+    )?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let tasks = ts.tasks();
     // Every task releases at t = 0; popping in (time, index) order keeps
@@ -855,7 +864,12 @@ mod tests {
     fn event_bound_scales_with_the_workload() {
         // 10 s over 100 ms periods: 101 release attempts per task.
         assert_eq!(
-            event_bound(&schedulable_set(), Duration::from_secs(10)).unwrap(),
+            event_bound(
+                schedulable_set().iter().map(McTask::period),
+                Duration::from_secs(10),
+                EVENTS_PER_RELEASE
+            )
+            .unwrap(),
             2 * 101 * EVENTS_PER_RELEASE + 2
         );
     }

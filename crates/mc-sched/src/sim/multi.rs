@@ -9,6 +9,7 @@
 //! reduction); the system returns to mode 0 as soon as no job at or above
 //! the current mode is ready.
 
+use super::engine::{event_bound, EVENTS_PER_RELEASE};
 use crate::analysis::edf_vd;
 use crate::SchedError;
 use mc_task::multi::{MultiTask, MultiTaskSet};
@@ -128,7 +129,8 @@ struct Job {
 ///
 /// Returns [`SchedError::EmptyTaskSet`] for an empty set,
 /// [`SchedError::InvalidSimConfig`] for a zero horizon, and
-/// [`SchedError::SimulationDiverged`] if the event guard trips.
+/// [`SchedError::SimulationDiverged`] for a zero period or if the event
+/// guard trips.
 pub fn simulate_multi(
     ts: &MultiTaskSet,
     cfg: &MultiSimConfig,
@@ -142,6 +144,14 @@ pub fn simulate_multi(
         });
     }
     let levels = ts.levels();
+    // The dual engine's guard with one more budget crossing per job for
+    // every level above two: a job escalates through at most `L − 1`
+    // budgets, so `L + 1` events per release suffice, plus one of margin.
+    let max_events = event_bound(
+        ts.iter().map(MultiTask::period),
+        cfg.horizon,
+        EVENTS_PER_RELEASE + (levels as u64).saturating_sub(2),
+    )?;
     let tasks: Vec<&MultiTask> = ts.iter().collect();
     // Pairwise virtual-deadline factors x_k (1.0 when no valid factor —
     // dispatch falls back to plain EDF for that pair).
@@ -183,10 +193,10 @@ pub fn simulate_multi(
         }
     };
 
-    let mut guard = 0u64;
+    let mut events = 0u64;
     loop {
-        guard += 1;
-        if guard > 10_000_000 {
+        events += 1;
+        if events > max_events {
             return Err(SchedError::SimulationDiverged);
         }
 
@@ -469,6 +479,35 @@ mod tests {
                 .fold(Duration::ZERO, |acc, &t| acc + t);
             assert_eq!(mode_time, m.horizon, "{model:?}: mode times partition time");
         }
+    }
+
+    #[test]
+    fn escalating_runs_fit_the_level_scaled_guard() {
+        // One level-3 task on four levels, always running its top budget:
+        // each job releases, crosses three budgets (one escalation each)
+        // and completes — five events per release, more than the dual
+        // engine's four, so the guard must grow with the level count.
+        let mut ts = MultiTaskSet::new(4).unwrap();
+        ts.push(task(0, 3, &[1, 2, 3, 4], 100)).unwrap();
+        let m = simulate_multi(&ts, &cfg(MultiExecModel::FullTopBudget)).unwrap();
+        assert_eq!(m.escalations, vec![100, 100, 100]);
+        assert_eq!(m.completed_per_level[3], 100);
+        assert_eq!(m.top_level_misses(), 0);
+    }
+
+    #[test]
+    fn zero_periods_diverge_up_front() {
+        // The constructor rejects a zero period; a deserialised set is
+        // the one way in.
+        let json = serde_json::to_string(&tri_level()).unwrap();
+        let level0 = r#""budgets":[20000000],"period":100000000"#;
+        assert!(json.contains(level0), "{json}");
+        let json = json.replace(level0, r#""budgets":[20000000],"period":0"#);
+        let ts: MultiTaskSet = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            simulate_multi(&ts, &cfg(MultiExecModel::FullLowestBudget)),
+            Err(SchedError::SimulationDiverged)
+        );
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The original linear-scan simulator, kept as a differential oracle for
 //! the event-calendar engine in [`super::engine`]. Test builds only.
 
-use super::engine::{event_bound, ModeSwitchPolicy, SimConfig};
+use super::engine::{event_bound, ModeSwitchPolicy, SimConfig, EVENTS_PER_RELEASE};
 use super::metrics::SimMetrics;
 use super::LcPolicy;
 use crate::analysis::edf_vd;
 use crate::SchedError;
 use mc_task::time::{Duration, Instant};
-use mc_task::{Criticality, TaskSet};
+use mc_task::{Criticality, McTask, TaskSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,7 +54,11 @@ pub(super) fn simulate_reference(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMet
     let mut hi_entered_at: Option<Instant> = None;
 
     let mut guard: u64 = 0;
-    let max_events = event_bound(ts, cfg.horizon)?;
+    let max_events = event_bound(
+        ts.iter().map(McTask::period),
+        cfg.horizon,
+        EVENTS_PER_RELEASE,
+    )?;
 
     loop {
         guard += 1;

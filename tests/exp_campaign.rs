@@ -249,7 +249,15 @@ fn exp_list_names_the_catalog() {
     let out = chebymc(&["exp", "list"]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for name in ["fig5", "table2", "ablation_sigma"] {
+    for name in [
+        "fig3",
+        "fig3_optimum",
+        "fig4",
+        "fig5",
+        "fig6",
+        "table2",
+        "ablation_sigma",
+    ] {
         assert!(text.contains(name), "{text}");
     }
 }

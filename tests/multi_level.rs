@@ -171,3 +171,27 @@ fn dual_criticality_is_the_two_level_special_case() {
         multi_metrics.analysis.schedulable
     );
 }
+
+/// The multi-level simulator's event guard scales with the workload, as
+/// the dual engine's does: a valid run that needs more than 10⁷ events
+/// (once a fixed cap) completes. Each 4 µs job of the level-1 task
+/// releases, crosses its 1 µs mode-0 budget (an escalation), and completes
+/// at 2 µs (the return to mode 0): three events per job, 10.5 million in
+/// all.
+#[test]
+fn long_valid_multi_level_runs_are_not_cut_short_by_the_event_guard() {
+    let us = Duration::from_micros;
+    let mut ts = MultiTaskSet::new(2).unwrap();
+    ts.push(MultiTask::new(TaskId::new(0), "", 1, vec![us(1), us(2)], us(4), None).unwrap())
+        .unwrap();
+    let cfg = MultiSimConfig {
+        horizon: Duration::from_secs(14),
+        exec_model: MultiExecModel::FullTopBudget,
+        seed: 1,
+    };
+    let m = simulate_multi(&ts, &cfg).unwrap();
+    assert_eq!(m.released_per_level, vec![0, 3_500_000]);
+    assert_eq!(m.escalations, vec![3_500_000]);
+    assert_eq!(m.completed_per_level, vec![0, 3_500_000]);
+    assert_eq!(m.top_level_misses(), 0);
+}

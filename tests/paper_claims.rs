@@ -2,9 +2,36 @@
 //! *shapes* of its tables and figures, run fast enough for CI. The full
 //! regeneration lives in `crates/bench`'s experiment binaries.
 
+use chebymc::core::pipeline::{derive_set_seed, evaluate_policy_one_set, SetEvaluation};
 use chebymc::core::policy::paper_lambda_baselines;
 use chebymc::prelude::*;
 use rand::SeedableRng;
+
+/// Per-utilisation means of `policy`'s design metrics over `sets` HC-only
+/// task sets each, drawn on the campaign seed contract
+/// `derive_set_seed(seed, u_index, set)` — the `fig3`/`fig4`/`fig5`
+/// campaign numbers at this scale.
+fn mean_design(us: &[f64], policy: &WcetPolicy, seed: u64, sets: usize) -> Vec<SetEvaluation> {
+    let gen = GeneratorConfig::default();
+    us.iter()
+        .enumerate()
+        .map(|(ui, &u)| {
+            let per_set: Vec<SetEvaluation> = (0..sets)
+                .map(|si| {
+                    evaluate_policy_one_set(u, policy, &gen, derive_set_seed(seed, ui, si), 1)
+                })
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let mean =
+                |f: fn(&SetEvaluation) -> f64| per_set.iter().map(f).sum::<f64>() / sets as f64;
+            SetEvaluation {
+                p_ms: mean(|e| e.p_ms),
+                max_u_lc_lo: mean(|e| e.max_u_lc_lo),
+                objective: mean(|e| e.objective),
+            }
+        })
+        .collect()
+}
 
 /// Table II's structure: the analysis column is exactly `1/(1+n²)` and the
 /// measured column is far below it for every benchmark.
@@ -60,29 +87,17 @@ fn fig2_shape_interior_optimum() {
 /// falls; the optimum uniform n (weakly) decreases with utilisation.
 #[test]
 fn fig3_shape_utilization_trends() {
-    let batch = BatchConfig {
-        task_sets: 30,
-        seed: 9,
-        generator: GeneratorConfig::default(),
-        threads: 0,
-    };
     let policy = WcetPolicy::ChebyshevUniform { n: 10.0 };
-    let pts = evaluate_policy_over_utilization(&[0.4, 0.6, 0.8], &policy, &batch).unwrap();
-    assert!(pts[0].mean_p_ms < pts[1].mean_p_ms);
-    assert!(pts[1].mean_p_ms < pts[2].mean_p_ms);
-    assert!(pts[0].mean_max_u_lc_lo > pts[2].mean_max_u_lc_lo);
+    let pts = mean_design(&[0.4, 0.6, 0.8], &policy, 9, 30);
+    assert!(pts[0].p_ms < pts[1].p_ms);
+    assert!(pts[1].p_ms < pts[2].p_ms);
+    assert!(pts[0].max_u_lc_lo > pts[2].max_u_lc_lo);
 }
 
 /// Fig. 4/5's headline: the GA scheme dominates every λ-range baseline on
 /// the combined objective, at low and high utilisation alike.
 #[test]
 fn fig4_fig5_scheme_dominates_lambda_baselines() {
-    let batch = BatchConfig {
-        task_sets: 25,
-        seed: 31,
-        generator: GeneratorConfig::default(),
-        threads: 0,
-    };
     let scheme = WcetPolicy::ChebyshevGa {
         ga: GaConfig {
             population_size: 32,
@@ -92,25 +107,24 @@ fn fig4_fig5_scheme_dominates_lambda_baselines() {
         problem: ProblemConfig::default(),
     };
     let us = [0.4, 0.8];
-    let ours = evaluate_policy_over_utilization(&us, &scheme, &batch).unwrap();
+    let ours = mean_design(&us, &scheme, 31, 25);
     for baseline in paper_lambda_baselines() {
-        let theirs = evaluate_policy_over_utilization(&us, &baseline, &batch).unwrap();
-        for (o, t) in ours.iter().zip(&theirs) {
+        let theirs = mean_design(&us, &baseline, 31, 25);
+        for ((o, t), u) in ours.iter().zip(&theirs).zip(us) {
             assert!(
-                o.mean_objective >= t.mean_objective,
-                "U = {}: scheme {} vs {} {}",
-                o.u_hc_hi,
-                o.mean_objective,
+                o.objective >= t.objective,
+                "U = {u}: scheme {} vs {} {}",
+                o.objective,
                 baseline.name(),
-                t.mean_objective
+                t.objective
             );
         }
     }
     // And the paper's worst-case P_MS claim shape: bounded around ~10 %.
     assert!(
-        ours.iter().all(|p| p.mean_p_ms < 0.25),
+        ours.iter().all(|p| p.p_ms < 0.25),
         "P_MS stays bounded: {:?}",
-        ours.iter().map(|p| p.mean_p_ms).collect::<Vec<_>>()
+        ours.iter().map(|p| p.p_ms).collect::<Vec<_>>()
     );
 }
 
@@ -119,36 +133,47 @@ fn fig4_fig5_scheme_dominates_lambda_baselines() {
 /// scheduling approaches.
 #[test]
 fn fig6_acceptance_ordering() {
-    let batch = BatchConfig {
-        task_sets: 30,
-        seed: 17,
-        generator: GeneratorConfig::default(),
-        threads: 0,
-    };
     let bounds = [0.5, 0.8, 0.95];
-    let ours = WcetPolicy::ChebyshevUniform { n: 3.0 };
-    let baseline = WcetPolicy::LambdaRange {
+    // Acceptance ratio per bound over 30 mixed sets each, seeded
+    // `derive_set_seed(17, u_index, set)`; the policy for a set is built
+    // from that set's seed (only the λ baseline draws from it).
+    let acceptance = |policy: &dyn Fn(u64) -> WcetPolicy, approach: SchedulingApproach| {
+        bounds
+            .iter()
+            .enumerate()
+            .map(|(ui, &u)| {
+                let accepted = (0..30)
+                    .filter(|&si| {
+                        let seed = derive_set_seed(17, ui, si);
+                        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                        let mut ts =
+                            generate_mixed_taskset(u, &GeneratorConfig::default(), &mut rng)
+                                .unwrap();
+                        policy(seed).assign(&mut ts).unwrap();
+                        approach.schedulable(&ts)
+                    })
+                    .count();
+                accepted as f64 / 30.0
+            })
+            .collect::<Vec<f64>>()
+    };
+    let ours = |_| WcetPolicy::ChebyshevUniform { n: 3.0 };
+    let baseline = |seed| WcetPolicy::LambdaRange {
         lambda_min: 0.25,
-        seed: 0,
+        seed,
     };
     for approach in [
         SchedulingApproach::BaruahDropAll,
         SchedulingApproach::LiuDegrade { fraction: 0.5 },
     ] {
-        let a = acceptance_ratio(&bounds, &ours, approach, &batch).unwrap();
-        let b = acceptance_ratio(&bounds, &baseline, approach, &batch).unwrap();
-        assert_eq!(a[0].ratio, 1.0, "everything fits at U = 0.5");
-        for (x, y) in a.iter().zip(&b) {
-            assert!(
-                x.ratio >= y.ratio,
-                "{approach:?} at U = {}: ours {} < baseline {}",
-                x.u_bound,
-                x.ratio,
-                y.ratio
-            );
+        let a = acceptance(&ours, approach);
+        let b = acceptance(&baseline, approach);
+        assert_eq!(a[0], 1.0, "everything fits at U = 0.5");
+        for ((x, y), u) in a.iter().zip(&b).zip(bounds) {
+            assert!(x >= y, "{approach:?} at U = {u}: ours {x} < baseline {y}");
         }
         // Monotone decay.
-        assert!(a[0].ratio >= a[1].ratio && a[1].ratio >= a[2].ratio);
+        assert!(a[0] >= a[1] && a[1] >= a[2]);
     }
 }
 
