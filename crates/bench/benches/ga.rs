@@ -23,7 +23,7 @@ fn bench_population_scaling(c: &mut Criterion) {
             ..GaConfig::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(pop), &cfg, |b, cfg| {
-            b.iter(|| black_box(optimize(&bounds, sphere, cfg).unwrap()))
+            b.iter(|| black_box(optimize(&bounds, sphere, cfg).unwrap().0))
         });
     }
     group.finish();
@@ -39,7 +39,7 @@ fn bench_dimension_scaling(c: &mut Criterion) {
             ..GaConfig::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(dim), &bounds, |b, bounds| {
-            b.iter(|| black_box(optimize(bounds, sphere, &cfg).unwrap()))
+            b.iter(|| black_box(optimize(bounds, sphere, &cfg).unwrap().0))
         });
     }
     group.finish();
@@ -87,7 +87,7 @@ fn bench_expensive_fitness(c: &mut Criterion) {
         };
         let label = if threads == 0 { "all" } else { "1" };
         group.bench_with_input(BenchmarkId::from_parameter(label), &cfg, |b, cfg| {
-            b.iter(|| black_box(optimize(&bounds, heavy, cfg).unwrap()))
+            b.iter(|| black_box(optimize(&bounds, heavy, cfg).unwrap().0))
         });
     }
     group.finish();

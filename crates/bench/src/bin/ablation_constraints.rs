@@ -31,10 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
 
             let clamp_bounds = problem.bounds()?;
-            let clamp = optimize(&clamp_bounds, |c| problem.objective(c).fitness, &ga)?;
+            let clamp = optimize(&clamp_bounds, |c| problem.objective(c).fitness, &ga)?.0;
 
             let penalty_bounds = problem.bounds_penalty_only()?;
-            let penalty = optimize(&penalty_bounds, |c| problem.objective(c).fitness, &ga)?;
+            let penalty = optimize(&penalty_bounds, |c| problem.objective(c).fitness, &ga)?.0;
 
             let ratio = penalty.best_fitness / clamp.best_fitness.max(1e-12) * 100.0;
             ratios.push(ratio);

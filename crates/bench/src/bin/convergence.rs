@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..GaConfig::default()
     };
     let bounds = problem.bounds()?;
-    let result = optimize(&bounds, |c| problem.objective(c).fitness, &cfg)?;
+    let result = optimize(&bounds, |c| problem.objective(c).fitness, &cfg)?.0;
     let final_best = result.best_fitness;
     for g in result
         .history
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             generations: 120,
             ..GaConfig::default()
         };
-        let r = optimize(&bounds, |c| problem.objective(c).fitness, &cfg)?;
+        let r = optimize(&bounds, |c| problem.objective(c).fitness, &cfg)?.0;
         let target = 0.99 * r.best_fitness;
         let gen99 = r
             .history

@@ -40,7 +40,7 @@
 //! Run: `cargo run -p chebymc-bench --release --bin ga_perf`
 //! Output path override: `CHEBYMC_BENCH_GA_JSON=/path/to/out.json`
 
-use mc_opt::ga::{optimize_with_stats, EvalStats, GaConfig, GaResult, GeneBounds};
+use mc_opt::ga::{optimize, EvalStats, GaConfig, GaResult, GeneBounds};
 use mc_opt::incremental::optimize_incremental;
 use mc_opt::{ProblemConfig, WcetProblem};
 use mc_task::generate::{generate_hc_taskset, GeneratorConfig};
@@ -359,7 +359,7 @@ fn run_scaling(
                 let backends: [(&'static str, Runner); 2] = [
                     (
                         "closure_memo",
-                        Box::new(|| optimize_with_stats(&bounds, closure, &cfg).unwrap()),
+                        Box::new(|| optimize(&bounds, closure, &cfg).unwrap()),
                     ),
                     (
                         "incremental",
@@ -479,16 +479,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "new_serial",
             1,
-            Box::new(|| {
-                optimize_with_stats(&bounds, objective, &GaConfig { threads: 1, ..cfg }).unwrap()
-            }),
+            Box::new(|| optimize(&bounds, objective, &GaConfig { threads: 1, ..cfg }).unwrap()),
         ),
         (
             "new_parallel",
             machine_threads,
-            Box::new(|| {
-                optimize_with_stats(&bounds, objective, &GaConfig { threads: 0, ..cfg }).unwrap()
-            }),
+            Box::new(|| optimize(&bounds, objective, &GaConfig { threads: 0, ..cfg }).unwrap()),
         ),
         (
             "incremental_serial",
@@ -547,7 +543,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(p) => mc_obs::init_file(std::path::Path::new(p))?,
             None => mc_obs::init_writer(Box::new(buf.clone()))?,
         }
-        let traced = optimize_with_stats(&bounds, objective, &GaConfig { threads: 1, ..cfg });
+        let traced = optimize(&bounds, objective, &GaConfig { threads: 1, ..cfg });
         mc_obs::shutdown()?;
         let (traced, _) = traced?;
         assert_eq!(traced, results[0], "traced run diverged from timed runs");

@@ -46,8 +46,9 @@ pub struct MultiMetrics {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MultiScheme {
     /// GA hyper-parameters for the per-mode factor search. `ga.threads`
-    /// parallelises the fitness evaluation; results are bit-identical for
-    /// any thread count.
+    /// parallelises the fitness evaluation of a standalone design; results
+    /// are bit-identical for any thread count. No campaign runs this
+    /// search, so no unit budget overrides it.
     pub ga: GaConfig,
     /// Upper cap on any factor.
     pub factor_cap: f64,
@@ -211,7 +212,7 @@ impl MultiScheme {
                 Err(_) => 0.0,
             }
         };
-        let result = optimize(&bounds, fitness, &self.ga).map_err(CoreError::Opt)?;
+        let (result, _) = optimize(&bounds, fitness, &self.ga).map_err(CoreError::Opt)?;
         // Re-apply the winning (monotonised) factors.
         let mut monotone = result.best.clone();
         for i in 1..monotone.len() {

@@ -33,8 +33,8 @@ use serde::{Deserialize, Serialize};
 pub struct ChebyshevScheme {
     /// GA hyper-parameters (paper §V defaults). `ga.threads` controls the
     /// fitness-evaluation parallelism of a standalone design; the per-set
-    /// pipelines in [`crate::pipeline`] override it with the inner budget
-    /// a campaign runner hands each unit.
+    /// functions in [`crate::pipeline`] override it with the inner budget
+    /// `mc_exp::run_units` hands each campaign unit.
     pub ga: GaConfig,
     /// Factor search-space configuration.
     pub problem: ProblemConfig,

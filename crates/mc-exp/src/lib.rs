@@ -16,10 +16,12 @@
 //!   store replays itself, truncates a torn tail, and reports which units
 //!   are already done.
 //! * [`run`] — the campaign runner: lints the spec (`E0xx`), filters the
-//!   shard's pending units, dispatches them over an [`mc_par::WorkerPool`]
-//!   with a [`mc_par::ThreadBudget`] split between units and inner GA
-//!   parallelism, and flushes records to the store *in session order* so
-//!   an uninterrupted store is byte-identical across thread counts.
+//!   shard's pending units and hands them to [`run_units`], the one unit
+//!   dispatcher (shared with the mc-serve worker). It owns the thread
+//!   budget: units fan out over one pool and each unit gets the rest of
+//!   the budget for its inner parallelism. Records reach the store *in
+//!   session order*, so an uninterrupted store is byte-identical across
+//!   thread counts.
 //! * [`fault`] — deterministic crash-schedule sweeps: the store driven
 //!   through seed-derived crash/resume/merge interleavings on a simulated
 //!   disk (`mc_fault::SimDisk`), asserting the crash invariant and
@@ -48,7 +50,7 @@ pub use accounting::{points_complete, shard_progress, ShardProgress};
 pub use aggregate::{aggregate, export_points_csv, export_units_csv, PointAggregate};
 pub use catalog::{Campaign, CatalogOptions};
 pub use fault::{sweep, Sabotage, SweepConfig, SweepReport, Violation};
-pub use run::{run_campaign, RunConfig, RunSummary, Shard, UnitRunner};
+pub use run::{run_campaign, run_units, RunConfig, RunSummary, Shard, UnitRunner};
 pub use spec::{unit_seed, CampaignSpec, Param, PointSpec, WorkUnit};
 pub use store::{Metric, Store, StoreHeader, UnitRecord, SCHEMA_VERSION};
 

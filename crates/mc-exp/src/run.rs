@@ -119,53 +119,13 @@ pub struct RunSummary {
     pub elapsed: Duration,
 }
 
-/// Shared completion sink: appends records to the store in session order
-/// (buffering out-of-order completions) and drives the progress reporter.
-struct Sink<'a> {
-    store: &'a mut Store,
-    next: usize,
-    pending: BTreeMap<usize, UnitRecord>,
-    /// Replicas each axis point still lacks in the store, kept per append
-    /// so progress costs O(1) per record rather than a store rescan.
-    missing: Vec<usize>,
-    points_done: usize,
-    progress: Progress,
-    error: Option<ExpError>,
-}
-
-impl Sink<'_> {
-    /// Accepts the `session_pos`-th unit's record, flushing every
-    /// record that is now in order. Returns `false` once the session
-    /// should stop (an append failed).
-    fn complete(&mut self, session_pos: usize, record: UnitRecord) -> bool {
-        self.pending.insert(session_pos, record);
-        while let Some(record) = self.pending.remove(&self.next) {
-            let point = record.point;
-            if let Err(e) = self.store.append(record) {
-                self.error = Some(e);
-                return false;
-            }
-            self.next += 1;
-            self.missing[point] -= 1;
-            if self.missing[point] == 0 {
-                self.points_done += 1;
-            }
-            self.progress
-                .unit_done(self.store.completed_count(), self.points_done);
-        }
-        true
-    }
-
-    fn fail(&mut self, e: ExpError) {
-        if self.error.is_none() {
-            self.error = Some(e);
-        }
-    }
-}
-
 /// Runs (this shard of) a campaign: lints the spec, skips units the store
 /// already holds, computes the rest on a worker pool, and persists each
 /// record with an fsync before counting it done.
+///
+/// Records are appended *in session order* (see [`run_units`]), so an
+/// uninterrupted single-shard store is byte-identical across thread
+/// counts.
 ///
 /// # Errors
 ///
@@ -205,54 +165,35 @@ pub fn run_campaign(
         .collect();
     let skipped = shard_units - session.len();
 
-    let (outer, inner) = mc_par::ThreadBudget::explicit(cfg.threads).split(session.len());
-    let inner_threads = inner.get();
-    let pool = mc_par::WorkerPool::new(outer);
-
-    let progress = Progress::new(cfg.progress, total_units, spec.points.len(), session.len());
+    let mut progress = Progress::new(cfg.progress, total_units, spec.points.len(), session.len());
+    // Replicas each axis point still lacks in the store, kept per append
+    // so progress costs O(1) per record rather than a store rescan.
     let mut missing = vec![spec.replicas; spec.points.len()];
     for unit in (0..total_units).filter(|&i| store.is_complete(i)) {
         missing[unit / spec.replicas] -= 1;
     }
-    let points_done = missing.iter().filter(|&&m| m == 0).count();
-    let sink = Mutex::new(Sink {
-        store,
-        next: 0,
-        pending: BTreeMap::new(),
-        missing,
-        points_done,
-        progress,
-        error: None,
-    });
+    let mut points_done = missing.iter().filter(|&&m| m == 0).count();
+    let mut ran = 0;
+    let mut append_error = None;
 
-    pool.for_each_while(session.len(), |pos| {
-        let unit = session[pos];
-        let _unit_span = mc_obs::span("exp.unit");
-        match runner.run_unit(&unit, inner_threads) {
-            Ok(metrics) => {
-                let record = UnitRecord {
-                    unit: unit.index,
-                    point: unit.point,
-                    replica: unit.replica,
-                    seed: unit.seed,
-                    metrics,
-                };
-                sink.lock().expect("sink poisoned").complete(pos, record)
-            }
-            Err(e) => {
-                sink.lock().expect("sink poisoned").fail(e);
-                false
-            }
+    run_units(&session, runner, cfg.threads, "exp.unit", |record| {
+        let point = record.point;
+        if let Err(e) = store.append(record) {
+            append_error = Some(e);
+            return false;
         }
-    });
-
-    let sink = sink.into_inner().expect("sink poisoned");
-    let ran = sink.next;
-    if let Some(e) = sink.error {
+        ran += 1;
+        missing[point] -= 1;
+        if missing[point] == 0 {
+            points_done += 1;
+        }
+        progress.unit_done(store.completed_count(), points_done);
+        true
+    })?;
+    if let Some(e) = append_error {
         return Err(e);
     }
-    let completed = sink.store.completed_count();
-    sink.progress.finish(completed);
+    progress.finish(store.completed_count());
     Ok(RunSummary {
         total_units,
         shard_units,
@@ -260,6 +201,100 @@ pub fn run_campaign(
         ran,
         elapsed: start.elapsed(),
     })
+}
+
+/// Runs `units` on one worker pool and hands their records to `deliver`
+/// in unit order — the one place a thread budget is split across work
+/// units ([`run_campaign`] and the mc-serve worker both dispatch here).
+///
+/// `threads` is split by [`mc_par::ThreadBudget::split`] between the
+/// fan-out over units and each unit's inner parallelism. Each unit runs
+/// under a `span` of that name. Out-of-order completions park in a buffer
+/// until their predecessors are delivered, and `deliver` is only ever
+/// called under one lock, so it sees records strictly in the order of
+/// `units`. Returning `false` from `deliver` stops the dispatch: no later
+/// record is delivered and unclaimed units are skipped.
+///
+/// # Errors
+///
+/// The first runner error. It stops the dispatch too; records of the
+/// units before the failed one are still delivered.
+pub fn run_units<D>(
+    units: &[WorkUnit],
+    runner: &dyn UnitRunner,
+    threads: usize,
+    span: &'static str,
+    deliver: D,
+) -> Result<(), ExpError>
+where
+    D: FnMut(UnitRecord) -> bool + Send,
+{
+    let (outer, inner) = mc_par::ThreadBudget::explicit(threads).split(units.len());
+    let inner_threads = inner.get();
+    let pool = mc_par::WorkerPool::new(outer);
+    let order = Mutex::new(InOrder {
+        deliver,
+        next: 0,
+        parked: BTreeMap::new(),
+        open: true,
+        error: None,
+    });
+
+    pool.for_each_while(units.len(), |pos| {
+        let unit = units[pos];
+        let _unit_span = mc_obs::span(span);
+        let outcome = runner.run_unit(&unit, inner_threads);
+        let mut order = order.lock().expect("dispatch state poisoned");
+        match outcome {
+            Ok(metrics) => order.complete(
+                pos,
+                UnitRecord {
+                    unit: unit.index,
+                    point: unit.point,
+                    replica: unit.replica,
+                    seed: unit.seed,
+                    metrics,
+                },
+            ),
+            Err(e) => {
+                order.error.get_or_insert(e);
+                false
+            }
+        }
+    });
+
+    let error = order.into_inner().expect("dispatch state poisoned").error;
+    error.map_or(Ok(()), Err)
+}
+
+/// The reorder buffer behind [`run_units`].
+struct InOrder<D> {
+    deliver: D,
+    /// Position (in the dispatched slice) of the next record to deliver.
+    next: usize,
+    parked: BTreeMap<usize, UnitRecord>,
+    /// Cleared once `deliver` returns `false`.
+    open: bool,
+    error: Option<ExpError>,
+}
+
+impl<D: FnMut(UnitRecord) -> bool> InOrder<D> {
+    /// Accepts the `pos`-th unit's record and delivers every record now
+    /// in order. Returns `false` once delivery has been refused.
+    fn complete(&mut self, pos: usize, record: UnitRecord) -> bool {
+        if !self.open {
+            return false;
+        }
+        self.parked.insert(pos, record);
+        while let Some(record) = self.parked.remove(&self.next) {
+            self.next += 1;
+            if !(self.deliver)(record) {
+                self.open = false;
+                return false;
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -442,6 +477,40 @@ mod tests {
         let summary = run_campaign(&s, &seed_runner, &mut store, &cfg).unwrap();
         assert_eq!(summary.skipped, 3);
         assert_eq!(summary.ran, 3);
+    }
+
+    #[test]
+    fn dispatch_delivers_in_unit_order_and_stops_when_refused() {
+        // Cost falls with the unit index, so with several threads later
+        // units finish first and must park until their predecessors land.
+        let s = spec(2, 6);
+        let units: Vec<WorkUnit> = (0..s.total_units()).map(|i| s.unit(i)).collect();
+        let n = units.len() as u64;
+        let slowing = |unit: &WorkUnit, inner: usize| {
+            std::thread::sleep(Duration::from_micros(300 * (n - unit.index as u64)));
+            seed_runner(unit, inner)
+        };
+        for threads in [1, 2, 4] {
+            let mut seen = Vec::new();
+            run_units(&units, &slowing, threads, "exp.unit", |r| {
+                seen.push(r.unit);
+                true
+            })
+            .unwrap();
+            assert_eq!(
+                seen,
+                (0..units.len()).collect::<Vec<_>>(),
+                "{threads} threads"
+            );
+
+            let mut seen = Vec::new();
+            run_units(&units, &slowing, threads, "exp.unit", |r| {
+                seen.push(r.unit);
+                r.unit < 4
+            })
+            .unwrap();
+            assert_eq!(seen, vec![0, 1, 2, 3, 4], "{threads} threads: refused at 4");
+        }
     }
 
     #[test]

@@ -158,63 +158,6 @@ where
     })
 }
 
-/// Runs `restarts` independent annealing chains in parallel on `pool`
-/// and returns the best result (ties broken by the lowest restart index,
-/// so the winner is independent of thread count).
-///
-/// Chain `i` uses seed `cfg.seed + i`; restart 0 is bit-identical to a
-/// plain [`anneal`] call with `cfg`. SA is a single serial trajectory —
-/// unlike the GA its inner loop cannot fan out without changing the RNG
-/// stream — so the parallel axis here is whole restarts, which also
-/// improves solution quality on multi-modal objectives.
-///
-/// # Errors
-///
-/// Returns [`OptError::InvalidConfig`] for invalid hyper-parameters or
-/// `restarts == 0`, and [`OptError::EmptyChromosome`] when `bounds` is
-/// empty.
-pub fn anneal_multistart<F>(
-    bounds: &[GeneBounds],
-    fitness: F,
-    cfg: &SaConfig,
-    restarts: usize,
-    pool: &mc_par::WorkerPool,
-) -> Result<SaResult, OptError>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    cfg.validate()?;
-    if bounds.is_empty() {
-        return Err(OptError::EmptyChromosome);
-    }
-    if restarts == 0 {
-        return Err(OptError::InvalidConfig {
-            reason: "restarts must be non-zero",
-        });
-    }
-    let mut results: Vec<Result<SaResult, OptError>> = Vec::new();
-    results.resize_with(restarts, || Err(OptError::EmptyChromosome));
-    pool.fill(&mut results, |i| {
-        let chain = SaConfig {
-            seed: cfg.seed.wrapping_add(i as u64),
-            ..*cfg
-        };
-        anneal(bounds, &fitness, &chain)
-    });
-    let mut best: Option<SaResult> = None;
-    for r in results {
-        let r = r?;
-        // Strictly-greater keeps the lowest-index winner on ties.
-        if best
-            .as_ref()
-            .is_none_or(|b| r.best_fitness > b.best_fitness)
-        {
-            best = Some(r);
-        }
-    }
-    Ok(best.expect("restarts > 0"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,64 +246,6 @@ mod tests {
         .unwrap();
         assert!(r.best_fitness.is_finite());
         assert!(r.best[0] >= 0.5);
-    }
-
-    #[test]
-    fn multistart_with_one_restart_matches_plain_anneal() {
-        let bounds = [GeneBounds::new(-5.0, 5.0).unwrap()];
-        let cfg = SaConfig::default();
-        let f = |c: &[f64]| -(c[0] - 2.0).powi(2);
-        let single = anneal(&bounds, f, &cfg).unwrap();
-        let multi = anneal_multistart(&bounds, f, &cfg, 1, &mc_par::WorkerPool::serial()).unwrap();
-        assert_eq!(single, multi);
-    }
-
-    #[test]
-    fn multistart_is_identical_for_any_thread_count() {
-        let bounds = vec![GeneBounds::new(0.0, 10.0).unwrap(); 3];
-        let cfg = SaConfig {
-            iterations: 2_000,
-            ..SaConfig::default()
-        };
-        let f = |c: &[f64]| -c.iter().map(|x| (x - 6.0).powi(2)).sum::<f64>();
-        let runs: Vec<SaResult> = [1usize, 2, 0]
-            .iter()
-            .map(|&threads| {
-                let pool = mc_par::WorkerPool::new(threads);
-                anneal_multistart(&bounds, f, &cfg, 8, &pool).unwrap()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
-    }
-
-    #[test]
-    fn multistart_never_does_worse_than_its_first_chain() {
-        let bounds = vec![GeneBounds::new(0.0, 10.0).unwrap(); 4];
-        let cfg = SaConfig {
-            iterations: 3_000,
-            ..SaConfig::default()
-        };
-        let f = |c: &[f64]| -c.iter().map(|x| (x - 6.0).powi(2)).sum::<f64>();
-        let first = anneal(&bounds, f, &cfg).unwrap();
-        let multi = anneal_multistart(&bounds, f, &cfg, 6, &mc_par::WorkerPool::serial()).unwrap();
-        assert!(multi.best_fitness >= first.best_fitness);
-    }
-
-    #[test]
-    fn multistart_rejects_zero_restarts() {
-        let bounds = [GeneBounds::new(0.0, 1.0).unwrap()];
-        assert!(matches!(
-            anneal_multistart(
-                &bounds,
-                |c: &[f64]| c[0],
-                &SaConfig::default(),
-                0,
-                &mc_par::WorkerPool::serial()
-            )
-            .unwrap_err(),
-            OptError::InvalidConfig { .. }
-        ));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   buffer and the buffers swap, so no per-individual `Vec` is ever
 //!   cloned.
 //! * Fitness evaluation goes through a pluggable backend. The generic
-//!   closure backend memoises genome → fitness and fans misses out over a
-//!   shared [`mc_par::WorkerPool`] (`F: Sync`). The incremental backend
+//!   closure backend memoises genome → fitness and fans misses out over
+//!   the run's [`mc_par::WorkerPool`] (`F: Sync`). The incremental backend
 //!   (see [`crate::incremental`]) instead tracks each child's
 //!   *provenance* — parent, crossover span, mutated gene — and patches
 //!   the parent's cached partial reductions, or carries the parent's
@@ -28,9 +28,9 @@
 //!   ([`GaConfig::threads`]), and identical across backends (a backend
 //!   changes evaluation cost, never values).
 //! * When a generation's evaluation work (`pending genomes × genes`)
-//!   falls below [`GaConfig::serial_eval_threshold`], dispatch stays on
-//!   the calling thread even on a multi-thread pool — paper-scale
-//!   problems are far cheaper than a wake/park cycle.
+//!   falls below [`SERIAL_EVAL_THRESHOLD`], dispatch stays on the calling
+//!   thread even on a multi-thread pool — paper-scale problems are far
+//!   cheaper than a wake/park cycle.
 
 use crate::incremental::{Block, FlatPopulation, ObjectiveCache};
 use crate::OptError;
@@ -97,28 +97,19 @@ pub struct GaConfig {
     /// Worker threads for fitness evaluation: `0` = all available cores,
     /// `1` = serial. A pure performance knob — results are bit-identical
     /// for any value because the RNG never leaves the serial variation
-    /// phase. Campaign runners that already fan out over task sets force
-    /// this to their per-unit [`mc_par::ThreadBudget`] (usually 1) so the
-    /// two layers never oversubscribe the machine.
+    /// phase. Campaign units get the inner budget `mc_exp::run_units`
+    /// leaves them (usually 1), so the unit fan-out and the GA never
+    /// oversubscribe the machine.
     #[serde(default)]
     pub threads: usize,
-    /// Disables the genome-keyed memo cache on the closure fitness path.
-    /// Another pure performance knob: memo hits return the bit-identical
-    /// value a fresh evaluation would (fitness functions are required to
-    /// be pure), so results never depend on this flag.
-    #[serde(default)]
-    pub disable_memo: bool,
-    /// Per-generation evaluation work (`pending genomes × genes`) below
-    /// which dispatch stays serial even on a multi-thread pool, because
-    /// the work is cheaper than waking the workers. `0` disables the
-    /// fallback (always dispatch to the pool). Results are bit-identical
-    /// either way; deserialized configs that omit the field get `0` (the
-    /// historical always-dispatch behaviour), while
-    /// [`GaConfig::default`] enables the fallback at a threshold
-    /// comfortably above paper-scale generations (64 × 6 = 384).
-    #[serde(default)]
-    pub serial_eval_threshold: usize,
 }
+
+/// Per-generation evaluation work (`pending genomes × genes`) below which
+/// both backends stay on the calling thread even on a multi-thread pool,
+/// because the work is cheaper than waking the workers. Comfortably above
+/// a paper-scale generation (64 × 6 = 384). Results are bit-identical
+/// either side of it.
+pub const SERIAL_EVAL_THRESHOLD: usize = 8192;
 
 impl Default for GaConfig {
     fn default() -> Self {
@@ -131,8 +122,6 @@ impl Default for GaConfig {
             elitism: 2,
             seed: 0,
             threads: 0,
-            disable_memo: false,
-            serial_eval_threshold: 8192,
         }
     }
 }
@@ -285,7 +274,9 @@ pub(crate) trait EvalBackend {
     );
 }
 
-/// Maximises `fitness` over chromosomes bounded by `bounds`.
+/// Maximises `fitness` over chromosomes bounded by `bounds`, and reports
+/// how the evaluations were served (memo hits, batch duplicates, full
+/// evaluations).
 ///
 /// Fitness values must be finite; non-finite values are treated as
 /// `f64::NEG_INFINITY` (never selected).
@@ -303,25 +294,12 @@ pub(crate) trait EvalBackend {
 /// # fn main() -> Result<(), mc_opt::OptError> {
 /// // Maximise -(x-3)² over [0, 10]: optimum at x = 3.
 /// let bounds = [GeneBounds::new(0.0, 10.0)?];
-/// let result = optimize(&bounds, |c| -(c[0] - 3.0).powi(2), &GaConfig::default())?;
+/// let (result, _stats) = optimize(&bounds, |c| -(c[0] - 3.0).powi(2), &GaConfig::default())?;
 /// assert!((result.best[0] - 3.0).abs() < 0.5);
 /// # Ok(())
 /// # }
 /// ```
-pub fn optimize<F>(bounds: &[GeneBounds], fitness: F, cfg: &GaConfig) -> Result<GaResult, OptError>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    optimize_with_stats(bounds, fitness, cfg).map(|(result, _)| result)
-}
-
-/// [`optimize`], additionally reporting how the evaluations were served
-/// (memo hits, batch duplicates, full evaluations).
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-pub fn optimize_with_stats<F>(
+pub fn optimize<F>(
     bounds: &[GeneBounds],
     fitness: F,
     cfg: &GaConfig,
@@ -334,44 +312,7 @@ where
         return Err(OptError::EmptyChromosome);
     }
     let pool = WorkerPool::with_budget(ThreadBudget::explicit(cfg.threads));
-    optimize_with_stats_pool(bounds, fitness, cfg, &pool)
-}
-
-/// [`optimize`] on a caller-supplied [`WorkerPool`], for callers that run
-/// many GA instances and want to reuse one pool (and its thread budget)
-/// across all of them. `cfg.threads` is ignored; the pool decides.
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-pub fn optimize_with_pool<F>(
-    bounds: &[GeneBounds],
-    fitness: F,
-    cfg: &GaConfig,
-    pool: &WorkerPool,
-) -> Result<GaResult, OptError>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    optimize_with_stats_pool(bounds, fitness, cfg, pool).map(|(result, _)| result)
-}
-
-/// [`optimize_with_stats`] on a caller-supplied pool.
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-pub fn optimize_with_stats_pool<F>(
-    bounds: &[GeneBounds],
-    fitness: F,
-    cfg: &GaConfig,
-    pool: &WorkerPool,
-) -> Result<(GaResult, EvalStats), OptError>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    let mut backend = ClosureBackend::new(&fitness, !cfg.disable_memo, cfg.serial_eval_threshold);
-    run_ga(bounds, cfg, pool, &mut backend)
+    run_ga(bounds, cfg, &pool, &mut ClosureBackend::new(&fitness))
 }
 
 /// The GA loop shared by every backend: selection, variation, elitism and
@@ -703,10 +644,6 @@ impl<V: Copy + Default> GenomeTable<V> {
 /// (table growth amortizes away once the cache warms up).
 struct ClosureBackend<'f, F> {
     fitness: &'f F,
-    /// Probe/fill the memo and batch tables. Off, every slot is freshly
-    /// evaluated (the memo-ablation mode).
-    use_memo: bool,
-    serial_threshold: usize,
     /// Genome → fitness, persistent across generations.
     memo: GenomeTable<f64>,
     /// Genome → pending slot for the current batch only. Converged
@@ -725,11 +662,9 @@ struct ClosureBackend<'f, F> {
 }
 
 impl<'f, F> ClosureBackend<'f, F> {
-    fn new(fitness: &'f F, use_memo: bool, serial_threshold: usize) -> Self {
+    fn new(fitness: &'f F) -> Self {
         ClosureBackend {
             fitness,
-            use_memo,
-            serial_threshold,
             memo: GenomeTable::new(),
             batch: GenomeTable::new(),
             pending: Vec::new(),
@@ -762,23 +697,19 @@ where
         self.pending.clear();
         self.pending_hashes.clear();
         self.dups.clear();
-        if self.use_memo {
-            self.batch.clear();
-            for (i, score) in scores.iter_mut().enumerate().skip(skip) {
-                let key = pop.genome(i);
-                let hash = hash_genome(key);
-                if let Some(cached) = self.memo.get(hash, key) {
-                    *score = cached;
-                } else if let Some(slot) = self.batch.get(hash, key) {
-                    self.dups.push((i, slot));
-                } else {
-                    self.batch.insert(hash, key, self.pending.len());
-                    self.pending_hashes.push(hash);
-                    self.pending.push(i);
-                }
+        self.batch.clear();
+        for (i, score) in scores.iter_mut().enumerate().skip(skip) {
+            let key = pop.genome(i);
+            let hash = hash_genome(key);
+            if let Some(cached) = self.memo.get(hash, key) {
+                *score = cached;
+            } else if let Some(slot) = self.batch.get(hash, key) {
+                self.dups.push((i, slot));
+            } else {
+                self.batch.insert(hash, key, self.pending.len());
+                self.pending_hashes.push(hash);
+                self.pending.push(i);
             }
-        } else {
-            self.pending.extend(skip..scores.len());
         }
         let considered = (scores.len() - skip) as u64;
         let misses = self.pending.len() as u64;
@@ -799,33 +730,27 @@ where
             let i = pending[j];
             sanitize(fitness(&flat[i * genes..(i + 1) * genes]))
         };
-        if self.serial_threshold > 0 && pending.len() * genes < self.serial_threshold {
+        if pending.len() * genes < SERIAL_EVAL_THRESHOLD {
             for (j, slot) in self.pending_scores.iter_mut().enumerate() {
                 *slot = score_of(j);
             }
         } else {
             pool.fill(&mut self.pending_scores, score_of);
         }
-        if self.use_memo {
-            if self.memo.len() + self.pending.len() >= MEMO_CAPACITY {
-                self.memo.clear();
-            }
-            for ((&i, &hash), &s) in self
-                .pending
-                .iter()
-                .zip(&self.pending_hashes)
-                .zip(&self.pending_scores)
-            {
-                scores[i] = s;
-                self.memo.insert(hash, pop.genome(i), s);
-            }
-            for &(i, slot) in &self.dups {
-                scores[i] = self.pending_scores[slot];
-            }
-        } else {
-            for (&i, &s) in self.pending.iter().zip(&self.pending_scores) {
-                scores[i] = s;
-            }
+        if self.memo.len() + self.pending.len() >= MEMO_CAPACITY {
+            self.memo.clear();
+        }
+        for ((&i, &hash), &s) in self
+            .pending
+            .iter()
+            .zip(&self.pending_hashes)
+            .zip(&self.pending_scores)
+        {
+            scores[i] = s;
+            self.memo.insert(hash, pop.genome(i), s);
+        }
+        for &(i, slot) in &self.dups {
+            scores[i] = self.pending_scores[slot];
         }
     }
 }
@@ -838,7 +763,6 @@ where
 /// parent's score without touching a single gene.
 pub(crate) struct IncrementalBackend<'c> {
     cache: &'c ObjectiveCache,
-    serial_threshold: usize,
     /// Block partials of the generation being scored (row `i` is
     /// individual `i`'s blocks).
     cur: Vec<Block>,
@@ -847,10 +771,9 @@ pub(crate) struct IncrementalBackend<'c> {
 }
 
 impl<'c> IncrementalBackend<'c> {
-    pub(crate) fn new(cache: &'c ObjectiveCache, serial_threshold: usize) -> Self {
+    pub(crate) fn new(cache: &'c ObjectiveCache) -> Self {
         IncrementalBackend {
             cache,
-            serial_threshold,
             cur: Vec::new(),
             prev: Vec::new(),
         }
@@ -871,7 +794,7 @@ impl EvalBackend for IncrementalBackend<'_> {
         let nb = self.cache.n_blocks();
         let n = scores.len();
         let genes = pop.genes();
-        let serial = |work: usize| self.serial_threshold > 0 && work < self.serial_threshold;
+        let serial = |work: usize| work < SERIAL_EVAL_THRESHOLD;
         let Some(pg) = prev else {
             // Initial population: full evaluation, partials materialised.
             self.cur.clear();
@@ -1082,17 +1005,16 @@ mod tests {
     }
 
     #[test]
-    fn config_deserializes_without_new_knobs() {
-        // Configs serialized before the memo/serial knobs existed must keep
-        // their historical behaviour: memo on, fallback disabled.
-        let cfg: GaConfig = serde_json::from_str(
-            r#"{"population_size":64,"generations":80,"crossover_probability":0.8,
-                "mutation_probability":0.2,"tournament_size":5,"elitism":2,"seed":0}"#,
-        )
-        .unwrap();
-        assert!(!cfg.disable_memo);
-        assert_eq!(cfg.serial_eval_threshold, 0);
+    fn config_deserializes_without_threads_and_ignores_retired_fields() {
+        // Configs serialized before `threads` existed still load, and so do
+        // configs carrying fields this version no longer has.
+        let bare = r#"{"population_size":64,"generations":80,"crossover_probability":0.8,
+                "mutation_probability":0.2,"tournament_size":5,"elitism":2,"seed":0"#;
+        let cfg: GaConfig = serde_json::from_str(&format!("{bare}}}")).unwrap();
         assert_eq!(cfg.threads, 0);
+        let retired: GaConfig =
+            serde_json::from_str(&format!(r#"{bare},"threads":1,"retired_knob":true}}"#)).unwrap();
+        assert_eq!(retired, GaConfig { threads: 1, ..cfg });
     }
 
     #[test]
@@ -1111,7 +1033,9 @@ mod tests {
     #[test]
     fn finds_one_dimensional_optimum() {
         let bounds = [GeneBounds::new(0.0, 10.0).unwrap()];
-        let r = optimize(&bounds, |c| -(c[0] - 7.0).powi(2), &GaConfig::default()).unwrap();
+        let r = optimize(&bounds, |c| -(c[0] - 7.0).powi(2), &GaConfig::default())
+            .unwrap()
+            .0;
         assert!((r.best[0] - 7.0).abs() < 0.3, "got {}", r.best[0]);
     }
 
@@ -1135,7 +1059,8 @@ mod tests {
             },
             &cfg,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         for (x, t) in r.best.iter().zip(&target) {
             assert!((x - t).abs() < 0.5, "got {:?}", r.best);
         }
@@ -1147,7 +1072,9 @@ mod tests {
             GeneBounds::new(2.0, 3.0).unwrap(),
             GeneBounds::new(-1.0, 0.5).unwrap(),
         ];
-        let r = optimize(&bounds, |c| c.iter().sum(), &GaConfig::default()).unwrap();
+        let r = optimize(&bounds, |c| c.iter().sum(), &GaConfig::default())
+            .unwrap()
+            .0;
         assert!((2.0..=3.0).contains(&r.best[0]));
         assert!((-1.0..=0.5).contains(&r.best[1]));
         // Maximising the sum drives genes to their upper bounds.
@@ -1159,48 +1086,14 @@ mod tests {
     fn deterministic_per_seed() {
         let bounds = [GeneBounds::new(0.0, 1.0).unwrap(); 3];
         let cfg = GaConfig::default();
-        let a = optimize(&bounds, |c| c.iter().sum(), &cfg).unwrap();
-        let b = optimize(&bounds, |c| c.iter().sum(), &cfg).unwrap();
+        let a = optimize(&bounds, |c| c.iter().sum(), &cfg).unwrap().0;
+        let b = optimize(&bounds, |c| c.iter().sum(), &cfg).unwrap().0;
         assert_eq!(a, b);
         let cfg2 = GaConfig { seed: 1, ..cfg };
-        let c = optimize(&bounds, |x| x.iter().sum(), &cfg2).unwrap();
+        let c = optimize(&bounds, |x| x.iter().sum(), &cfg2).unwrap().0;
         // Different seed explores differently (history differs even if the
         // optimum coincides).
         assert_ne!(a.history, c.history);
-    }
-
-    #[test]
-    fn memo_and_serial_threshold_are_pure_perf_knobs() {
-        // The memo cache and the auto-serial fallback change evaluation
-        // cost, never values: every knob combination must produce the
-        // byte-identical GaResult.
-        let bounds = [GeneBounds::new(0.0, 1.0).unwrap(); 5];
-        let f = |c: &[f64]| c.iter().map(|x| x * (1.0 - x)).sum::<f64>();
-        let cfg = GaConfig {
-            generations: 20,
-            population_size: 32,
-            threads: 1,
-            ..GaConfig::default()
-        };
-        let reference = optimize(&bounds, f, &cfg).unwrap();
-        for disable_memo in [false, true] {
-            for serial_eval_threshold in [0, 1, 8192, usize::MAX] {
-                for threads in [1, 2] {
-                    let cfg = GaConfig {
-                        disable_memo,
-                        serial_eval_threshold,
-                        threads,
-                        ..cfg
-                    };
-                    let r = optimize(&bounds, f, &cfg).unwrap();
-                    assert_eq!(
-                        r, reference,
-                        "memo off={disable_memo} threshold={serial_eval_threshold} \
-                         threads={threads} diverged"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1213,7 +1106,7 @@ mod tests {
             threads: 1,
             ..GaConfig::default()
         };
-        let (_, stats) = optimize_with_stats(&bounds, f, &cfg).unwrap();
+        let (_, stats) = optimize(&bounds, f, &cfg).unwrap();
         // Every considered slot was served exactly one way.
         assert_eq!(
             stats.considered,
@@ -1233,16 +1126,6 @@ mod tests {
         // The closure path never delta-patches or carries.
         assert_eq!(stats.delta_evals, 0);
         assert_eq!(stats.carried, 0);
-
-        let cfg = GaConfig {
-            disable_memo: true,
-            ..cfg
-        };
-        let (_, ablated) = optimize_with_stats(&bounds, f, &cfg).unwrap();
-        // Memo off: every considered slot is a fresh full evaluation.
-        assert_eq!(ablated.considered, ablated.full_evals);
-        assert_eq!(ablated.memo_hits, 0);
-        assert_eq!(ablated.batch_dups, 0);
     }
 
     #[test]
@@ -1253,7 +1136,8 @@ mod tests {
             |c| -(c[0].powi(2) + c[1].powi(2)),
             &GaConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // With elitism, the running best never regresses.
         let mut prev = f64::NEG_INFINITY;
         for g in &r.history {
@@ -1275,7 +1159,7 @@ mod tests {
             ..GaConfig::default()
         };
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let r = optimize(&bounds, |_| bad, &cfg).unwrap();
+            let r = optimize(&bounds, |_| bad, &cfg).unwrap().0;
             assert_eq!(r.best_fitness, f64::NEG_INFINITY, "objective {bad}");
             assert!(r.history.iter().all(|g| g.best == f64::NEG_INFINITY));
         }
@@ -1296,7 +1180,8 @@ mod tests {
             },
             &GaConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(r.best[0] >= 0.5);
         assert!(r.best_fitness.is_finite());
     }
@@ -1342,7 +1227,7 @@ mod tests {
                     .map(|i| GeneBounds::new(i as f64, i as f64 + 2.0).unwrap())
                     .collect();
                 let cfg = GaConfig { seed, generations: 10, population_size: 16, ..GaConfig::default() };
-                let r = optimize(&bounds, |c| c.iter().sum(), &cfg).unwrap();
+                let r = optimize(&bounds, |c| c.iter().sum(), &cfg).unwrap().0;
                 for (x, b) in r.best.iter().zip(&bounds) {
                     prop_assert!((b.lo..=b.hi).contains(x));
                 }
@@ -1355,7 +1240,7 @@ mod tests {
                 let bounds = [GeneBounds::new(-10.0, 10.0).unwrap(); 3];
                 let f = |c: &[f64]| -c.iter().map(|x| (x - 1.5).powi(2)).sum::<f64>();
                 let cfg = GaConfig { seed, ..GaConfig::default() };
-                let r = optimize(&bounds, f, &cfg).unwrap();
+                let r = optimize(&bounds, f, &cfg).unwrap().0;
                 prop_assert!(r.best_fitness >= r.history[0].best);
             }
         }

@@ -26,19 +26,16 @@
 //!   to a full evaluation, and cross-checked by a debug-mode shadow
 //!   full recompute.
 //! * [`FlatPopulation`] is the strided SoA genome buffer shared with the
-//!   GA, and [`ObjectiveCache::objective_batch`] evaluates a whole
-//!   population against it in one contiguous pass (optionally fanned out
-//!   over an [`mc_par::WorkerPool`], bit-identical for any thread count).
+//!   GA.
 //!
-//! The GA entry points [`optimize_incremental`] /
-//! [`optimize_incremental_with_pool`] run the standard GA loop with the
-//! incremental backend and report [`EvalStats`] — how many evaluations
-//! were full folds, delta patches, or carried scores.
+//! The GA entry point [`optimize_incremental`] runs the standard GA loop
+//! with the incremental backend and reports [`EvalStats`] — how many
+//! evaluations were full folds, delta patches, or carried scores.
 
 use crate::ga::{run_ga, EvalStats, GaConfig, GaResult, GeneBounds, IncrementalBackend};
 use crate::problem::{HcTaskParams, ObjectiveValue};
 use crate::OptError;
-use mc_par::{DisjointSlice, ThreadBudget, WorkerPool};
+use mc_par::{ThreadBudget, WorkerPool};
 use mc_sched::analysis::edf_vd;
 use mc_stats::chebyshev;
 
@@ -444,46 +441,6 @@ impl ObjectiveCache {
             genes_recomputed,
         }
     }
-
-    /// Evaluates every genome of `genomes` into `out`, serially, in one
-    /// contiguous pass over the SoA buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the population's gene count differs from the cache
-    /// dimension or `out` is not one slot per individual.
-    pub fn objective_batch(&self, genomes: &FlatPopulation, out: &mut [ObjectiveValue]) {
-        assert_eq!(genomes.genes(), self.dimension());
-        assert_eq!(out.len(), genomes.individuals());
-        for (genome, slot) in genomes.genomes().zip(out.iter_mut()) {
-            *slot = self.eval_iter(genome.iter().copied());
-        }
-    }
-
-    /// [`ObjectiveCache::objective_batch`] fanned out over a worker pool.
-    /// Bit-identical to the serial pass for any thread count: each slot is
-    /// a pure function of its own genome.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ObjectiveCache::objective_batch`].
-    pub fn objective_batch_with_pool(
-        &self,
-        pool: &WorkerPool,
-        genomes: &FlatPopulation,
-        out: &mut [ObjectiveValue],
-    ) {
-        assert_eq!(genomes.genes(), self.dimension());
-        assert_eq!(out.len(), genomes.individuals());
-        let slots = DisjointSlice::new(out);
-        let slots = &slots;
-        pool.for_each(genomes.individuals(), |i| {
-            let value = self.eval_iter(genomes.genome(i).iter().copied());
-            // SAFETY: the pool claims each index exactly once, so this
-            // thread is the sole writer of slot `i`.
-            unsafe { slots.write(i, value) };
-        });
-    }
 }
 
 /// Bitwise equality of two objective values (all four fields).
@@ -514,30 +471,14 @@ pub fn optimize_incremental(
     bounds: &[GeneBounds],
     cfg: &GaConfig,
 ) -> Result<(GaResult, EvalStats), OptError> {
-    let pool = WorkerPool::with_budget(ThreadBudget::explicit(cfg.threads));
-    optimize_incremental_with_pool(cache, bounds, cfg, &pool)
-}
-
-/// [`optimize_incremental`] on a caller-supplied pool (`cfg.threads` is
-/// ignored; the pool decides).
-///
-/// # Errors
-///
-/// Same conditions as [`optimize_incremental`].
-pub fn optimize_incremental_with_pool(
-    cache: &ObjectiveCache,
-    bounds: &[GeneBounds],
-    cfg: &GaConfig,
-    pool: &WorkerPool,
-) -> Result<(GaResult, EvalStats), OptError> {
     if !bounds.is_empty() && bounds.len() != cache.dimension() {
         return Err(OptError::DimensionMismatch {
             expected: cache.dimension(),
             got: bounds.len(),
         });
     }
-    let mut backend = IncrementalBackend::new(cache, cfg.serial_eval_threshold);
-    run_ga(bounds, cfg, pool, &mut backend)
+    let pool = WorkerPool::with_budget(ThreadBudget::explicit(cfg.threads));
+    run_ga(bounds, cfg, &pool, &mut IncrementalBackend::new(cache))
 }
 
 #[cfg(test)]
@@ -677,38 +618,6 @@ mod tests {
         // keep the fitness itself at zero.
         assert!(value.p_ms < 1.0);
         assert!(bits_eq(value, c.eval_iter(child.iter().copied())));
-    }
-
-    #[test]
-    fn batch_matches_scalar_and_threads() {
-        let n = 33;
-        let c = cache(n);
-        let individuals = 37;
-        let mut pop = FlatPopulation::zeroed(individuals, n);
-        for i in 0..individuals {
-            for (g, x) in pop.genome_mut(i).iter_mut().enumerate() {
-                *x = ((i * 31 + g * 7) % 90) as f64 * 0.1;
-            }
-        }
-        let zero = ObjectiveValue {
-            p_ms: 0.0,
-            max_u_lc_lo: 0.0,
-            u_hc_lo: 0.0,
-            fitness: 0.0,
-        };
-        let mut serial = vec![zero; individuals];
-        c.objective_batch(&pop, &mut serial);
-        for (i, v) in serial.iter().enumerate() {
-            assert!(bits_eq(*v, c.eval(pop.genome(i))), "row {i}");
-        }
-        for threads in [1, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            let mut out = vec![zero; individuals];
-            c.objective_batch_with_pool(&pool, &pop, &mut out);
-            for (a, b) in serial.iter().zip(&out) {
-                assert!(bits_eq(*a, *b), "{threads} threads diverged");
-            }
-        }
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * [`incremental`] — the objective's hot-path engine: per-task
 //!   invariants in struct-of-arrays layout, blocked partial reductions for
 //!   delta-fitness (a k-gene change re-folds only the touched blocks, bit
-//!   identical to a full pass), and batch evaluation over flat
-//!   populations.
+//!   identical to a full pass) over flat populations.
 //! * [`grid`] — uniform-n sweeps (Figs. 2–3) and exhaustive search used to
 //!   cross-check the GA.
 //!
@@ -23,7 +22,7 @@
 //!
 //! # fn main() -> Result<(), mc_opt::OptError> {
 //! let bounds = [GeneBounds::new(0.0, 10.0)?, GeneBounds::new(0.0, 10.0)?];
-//! let r = optimize(&bounds, |c| -(c[0] - 2.0).abs() - (c[1] - 8.0).abs(), &GaConfig::default())?;
+//! let (r, _stats) = optimize(&bounds, |c| -(c[0] - 2.0).abs() - (c[1] - 8.0).abs(), &GaConfig::default())?;
 //! assert!((r.best[0] - 2.0).abs() < 0.5);
 //! assert!((r.best[1] - 8.0).abs() < 0.5);
 //! # Ok(())
@@ -43,9 +42,7 @@ use std::error::Error;
 use std::fmt;
 
 pub use ga::{EvalStats, GaConfig, GaResult, GeneBounds};
-pub use incremental::{
-    optimize_incremental, optimize_incremental_with_pool, FlatPopulation, ObjectiveCache,
-};
+pub use incremental::{optimize_incremental, FlatPopulation, ObjectiveCache};
 pub use problem::{ObjectiveValue, ProblemConfig, Solution, WcetProblem};
 
 /// Errors produced by the optimisation substrate.

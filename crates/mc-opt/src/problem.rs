@@ -9,8 +9,8 @@
 //! Eq. 9 is enforced structurally through the gene bounds (clamp repair).
 
 use crate::ga::{GaConfig, GeneBounds};
+use crate::incremental::optimize_incremental;
 use crate::incremental::ObjectiveCache;
-use crate::incremental::{optimize_incremental, optimize_incremental_with_pool, FlatPopulation};
 use crate::OptError;
 use mc_task::time::Duration;
 use mc_task::{TaskId, TaskSet};
@@ -240,35 +240,10 @@ impl WcetProblem {
 
     /// The precomputed hot-loop invariants behind [`WcetProblem::objective`]
     /// (per-task SoA coefficients plus blocked partial reductions). Hand
-    /// this to [`optimize_incremental`] or the batch entry points to
-    /// evaluate without going through the problem's convenience wrappers.
+    /// this to [`optimize_incremental`] to evaluate without going through
+    /// the problem's convenience wrappers.
     pub fn objective_cache(&self) -> &ObjectiveCache {
         &self.cache
-    }
-
-    /// Evaluates the objective for every genome of a flat population in
-    /// one contiguous pass (see [`ObjectiveCache::objective_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on population/output dimension mismatches.
-    pub fn objective_batch(&self, genomes: &FlatPopulation, out: &mut [ObjectiveValue]) {
-        self.cache.objective_batch(genomes, out);
-    }
-
-    /// [`WcetProblem::objective_batch`] fanned out over a worker pool,
-    /// bit-identical for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on population/output dimension mismatches.
-    pub fn objective_batch_with_pool(
-        &self,
-        pool: &mc_par::WorkerPool,
-        genomes: &FlatPopulation,
-        out: &mut [ObjectiveValue],
-    ) {
-        self.cache.objective_batch_with_pool(pool, genomes, out);
     }
 
     /// Evaluates the objective at a single uniform factor (Fig. 2/3 mode).
@@ -294,30 +269,6 @@ impl WcetProblem {
         }
         let bounds = self.bounds()?;
         let (result, _stats) = optimize_incremental(&self.cache, &bounds, cfg)?;
-        let objective = self.objective(&result.best);
-        Ok(Solution {
-            factors: result.best,
-            objective,
-        })
-    }
-
-    /// [`WcetProblem::solve_ga`] on a caller-supplied worker pool, for
-    /// batch layers that solve many problems and share one pool (and one
-    /// thread budget) across all of them. `cfg.threads` is ignored.
-    ///
-    /// # Errors
-    ///
-    /// Propagates GA configuration errors.
-    pub fn solve_ga_with_pool(
-        &self,
-        cfg: &GaConfig,
-        pool: &mc_par::WorkerPool,
-    ) -> Result<Solution, OptError> {
-        if self.tasks.is_empty() {
-            return Ok(Self::trivial_solution());
-        }
-        let bounds = self.bounds()?;
-        let (result, _stats) = optimize_incremental_with_pool(&self.cache, &bounds, cfg, pool)?;
         let objective = self.objective(&result.best);
         Ok(Solution {
             factors: result.best,

@@ -1,11 +1,10 @@
 //! The parallel hot path's contract: thread count is a pure performance
-//! knob. `GaResult`s, `Solution`s, and multistart SA winners must be
-//! bit-identical for any thread count, and the fitness memo cache must
-//! never change a result — only skip redundant evaluations.
+//! knob. `GaResult`s and `Solution`s must be bit-identical for any thread
+//! count, and the fitness memo cache must never change a result — only
+//! skip redundant evaluations.
 
-use mc_opt::ga::{optimize, optimize_with_pool, GaConfig, GaResult, GeneBounds};
+use mc_opt::ga::{optimize, GaConfig, GaResult, GeneBounds};
 use mc_opt::{ProblemConfig, WcetProblem};
-use mc_par::WorkerPool;
 use mc_task::time::Duration;
 use mc_task::{Criticality, ExecutionProfile, McTask, TaskId, TaskSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +49,7 @@ fn ga_result_is_bit_identical_across_thread_counts() {
                 threads,
                 ..GaConfig::default()
             };
-            optimize(&bounds, rastrigin_like, &cfg).unwrap()
+            optimize(&bounds, rastrigin_like, &cfg).unwrap().0
         })
         .collect();
     assert_eq!(runs[0], runs[1]);
@@ -75,24 +74,6 @@ fn solve_ga_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn caller_supplied_pool_matches_config_threads() {
-    let bounds = vec![GeneBounds::new(-5.12, 5.12).unwrap(); 4];
-    let cfg = GaConfig {
-        population_size: 32,
-        generations: 20,
-        threads: 2,
-        ..GaConfig::default()
-    };
-    let own_pool = optimize(&bounds, rastrigin_like, &cfg).unwrap();
-    let pool = WorkerPool::new(2);
-    let shared = optimize_with_pool(&bounds, rastrigin_like, &cfg, &pool).unwrap();
-    assert_eq!(own_pool, shared);
-    // And the same shared pool is reusable for a second run.
-    let again = optimize_with_pool(&bounds, rastrigin_like, &cfg, &pool).unwrap();
-    assert_eq!(shared, again);
-}
-
-#[test]
 fn memo_cache_skips_elites_but_never_changes_results() {
     let bounds = vec![GeneBounds::new(-5.12, 5.12).unwrap(); 5];
     let cfg = GaConfig {
@@ -106,7 +87,7 @@ fn memo_cache_skips_elites_but_never_changes_results() {
         evals.fetch_add(1, Ordering::Relaxed);
         rastrigin_like(c)
     };
-    let result = optimize(&bounds, counted, &cfg).unwrap();
+    let result = optimize(&bounds, counted, &cfg).unwrap().0;
     let total = evals.load(Ordering::Relaxed);
 
     // A memo-less GA evaluates every individual of every generation:
@@ -127,8 +108,10 @@ fn memo_cache_skips_elites_but_never_changes_results() {
     // configuration (the memo is always on — cross-check thread counts
     // and a duplicate-heavy fitness instead).
     let dup_heavy = |c: &[f64]| (c[0] * 8.0).round() / 8.0; // plateaus → duplicates
-    let a = optimize(&bounds, dup_heavy, &cfg).unwrap();
-    let b = optimize(&bounds, dup_heavy, &GaConfig { threads: 2, ..cfg }).unwrap();
+    let a = optimize(&bounds, dup_heavy, &cfg).unwrap().0;
+    let b = optimize(&bounds, dup_heavy, &GaConfig { threads: 2, ..cfg })
+        .unwrap()
+        .0;
     assert_eq!(a, b);
     assert_eq!(a.best_fitness, dup_heavy(&a.best));
 }
@@ -149,7 +132,7 @@ fn duplicate_genomes_are_evaluated_once() {
         evals.fetch_add(1, Ordering::Relaxed);
         -c[0]
     };
-    let result = optimize(&bounds, counted, &cfg).unwrap();
+    let result = optimize(&bounds, counted, &cfg).unwrap().0;
     assert_eq!(evals.load(Ordering::Relaxed), 1);
     assert_eq!(result.best, vec![3.0]);
 }

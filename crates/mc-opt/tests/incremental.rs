@@ -1,15 +1,14 @@
 //! The incremental evaluation engine's external contract: delta-fitness,
-//! batch SoA evaluation, the memo cache, the auto-serial fallback and the
-//! thread count are all *pure performance knobs* — no combination may
-//! change one bit of any objective value or GA result. These tests drive
+//! the memo cache, the auto-serial fallback and the thread count are all
+//! *pure performance knobs* — no combination may change one bit of any
+//! objective value or GA result. These tests drive
 //! the engine the way the GA does (random variation sequences over random
 //! task sets) and compare every path against a from-scratch evaluation.
 
-use mc_opt::ga::{optimize, optimize_with_stats, GaConfig, GeneBounds};
-use mc_opt::incremental::{optimize_incremental, Block, FlatPopulation, ObjectiveCache};
+use mc_opt::ga::{optimize, GaConfig, GeneBounds, SERIAL_EVAL_THRESHOLD};
+use mc_opt::incremental::{optimize_incremental, Block, ObjectiveCache};
 use mc_opt::problem::HcTaskParams;
 use mc_opt::ObjectiveValue;
-use mc_par::WorkerPool;
 use mc_task::TaskId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,49 +134,14 @@ fn random_mutation_sequences_are_bit_identical_to_full_recomputation() {
 }
 
 #[test]
-fn batch_objective_is_bit_identical_across_thread_counts() {
-    let mut rng = StdRng::seed_from_u64(7);
-    for dim in [6usize, 33, 64] {
-        let cache = random_cache(&mut rng, dim);
-        let individuals = 53;
-        let mut pop = FlatPopulation::zeroed(individuals, dim);
-        for i in 0..individuals {
-            for x in pop.genome_mut(i) {
-                *x = rng.random_range(-2.0..60.0);
-            }
-        }
-        let zero = ObjectiveValue {
-            p_ms: 0.0,
-            max_u_lc_lo: 0.0,
-            u_hc_lo: 0.0,
-            fitness: 0.0,
-        };
-        let mut serial = vec![zero; individuals];
-        cache.objective_batch(&pop, &mut serial);
-        for (i, v) in serial.iter().enumerate() {
-            assert!(bits_eq(*v, cache.eval(pop.genome(i))), "dim {dim} row {i}");
-        }
-        for threads in [1usize, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            let mut out = vec![zero; individuals];
-            cache.objective_batch_with_pool(&pool, &pop, &mut out);
-            assert!(
-                serial.iter().zip(&out).all(|(a, b)| bits_eq(*a, *b)),
-                "dim {dim}, {threads} threads diverged"
-            );
-        }
-    }
-}
-
-#[test]
 fn incremental_ga_matches_closure_ga_for_every_knob_combination() {
-    // The tentpole equality: the incremental backend, the memoised
-    // closure backend and the memo-ablated closure backend must return
-    // byte-identical GaResults for any thread count and any serial-
-    // fallback threshold. threshold 0 forces pool dispatch even for this
-    // small problem, so the parallel delta path is genuinely exercised.
+    // The central equality: the incremental backend and the memoised
+    // closure backend must return byte-identical GaResults for any thread
+    // count. Dims 6 and 24 stay under the serial-fallback threshold; dim
+    // 300 at population 32 crosses it, so threads 2 and 4 run the
+    // parallel closure and delta paths.
     let mut rng = StdRng::seed_from_u64(42);
-    for dim in [6usize, 24] {
+    for dim in [6usize, 24, 300] {
         let cache = random_cache(&mut rng, dim);
         let bounds = vec![GeneBounds::new(0.0, 30.0).unwrap(); dim];
         let base = GaConfig {
@@ -187,40 +151,31 @@ fn incremental_ga_matches_closure_ga_for_every_knob_combination() {
             ..GaConfig::default()
         };
         let closure = |c: &[f64]| cache.eval(c).fitness;
-        let reference = optimize(&bounds, closure, &base).unwrap();
+        let (reference, _) = optimize(&bounds, closure, &base).unwrap();
         for threads in [1usize, 2, 4] {
-            for serial_eval_threshold in [0usize, 8192] {
-                for disable_memo in [false, true] {
-                    let cfg = GaConfig {
-                        threads,
-                        serial_eval_threshold,
-                        disable_memo,
-                        ..base
-                    };
-                    let ctx = format!(
-                        "dim {dim} threads {threads} threshold {serial_eval_threshold} \
-                         memo off {disable_memo}"
-                    );
-                    let r = optimize(&bounds, closure, &cfg).unwrap();
-                    assert_eq!(r, reference, "closure path diverged: {ctx}");
-                    let (ri, stats) = optimize_incremental(&cache, &bounds, &cfg).unwrap();
-                    assert_eq!(ri, reference, "incremental path diverged: {ctx}");
-                    // Every considered slot was served exactly one way.
-                    assert_eq!(
-                        stats.considered,
-                        stats.full_evals + stats.delta_evals + stats.carried,
-                        "{ctx}"
-                    );
-                    assert_eq!(stats.memo_hits, 0, "{ctx}");
-                    // Gen 0 is the only full-evaluation generation.
-                    assert_eq!(stats.full_evals, 32, "{ctx}");
-                    assert!(stats.delta_evals > 0, "{ctx}");
-                    // The whole point: most gene-terms are never re-folded.
-                    assert!(stats.genes_evaluated < stats.genes_total, "{ctx}");
-                }
-            }
+            let cfg = GaConfig { threads, ..base };
+            let ctx = format!("dim {dim} threads {threads}");
+            let (r, _) = optimize(&bounds, closure, &cfg).unwrap();
+            assert_eq!(r, reference, "closure path diverged: {ctx}");
+            let (ri, stats) = optimize_incremental(&cache, &bounds, &cfg).unwrap();
+            assert_eq!(ri, reference, "incremental path diverged: {ctx}");
+            // Every considered slot was served exactly one way.
+            assert_eq!(
+                stats.considered,
+                stats.full_evals + stats.delta_evals + stats.carried,
+                "{ctx}"
+            );
+            assert_eq!(stats.memo_hits, 0, "{ctx}");
+            // Gen 0 is the only full-evaluation generation.
+            assert_eq!(stats.full_evals, 32, "{ctx}");
+            assert!(stats.delta_evals > 0, "{ctx}");
+            // The whole point: most gene-terms are never re-folded.
+            assert!(stats.genes_evaluated < stats.genes_total, "{ctx}");
         }
     }
+    // The premise of the largest dim: generation 0 of either backend and
+    // every delta generation (all but the two elites) exceed the threshold.
+    const { assert!((32 - 2) * 300 >= SERIAL_EVAL_THRESHOLD) };
 }
 
 #[test]
@@ -267,7 +222,7 @@ fn closure_stats_account_memo_and_dups() {
         ..GaConfig::default()
     };
     let f = |c: &[f64]| c.iter().map(|x| x * (4.0 - x)).sum::<f64>();
-    let (_, stats) = optimize_with_stats(&bounds, f, &cfg).unwrap();
+    let (_, stats) = optimize(&bounds, f, &cfg).unwrap();
     assert_eq!(
         stats.considered,
         stats.full_evals + stats.memo_hits + stats.batch_dups

@@ -10,11 +10,12 @@
 //!
 //! This crate extracts that model into two pieces:
 //!
-//! * [`ThreadBudget`] — an explicit thread budget. Nested parallelism
-//!   (unit layer × GA layer) splits one budget instead of oversubscribing
-//!   the machine: the outer fan-out claims its workers via
-//!   [`ThreadBudget::split`] and hands each job the remaining per-job
-//!   budget (usually 1, i.e. a serial inner GA).
+//! * [`ThreadBudget`] — an explicit thread budget. A campaign's work
+//!   units and each unit's GA share one budget instead of oversubscribing
+//!   the machine: the unit dispatcher (`mc_exp::run_units`, the only
+//!   caller of [`ThreadBudget::split`]) claims its workers and hands each
+//!   unit the remaining per-unit budget (usually 1, i.e. a serial inner
+//!   GA).
 //! * [`WorkerPool`] — a persistent pool of parked worker threads. Workers
 //!   are spawned once and reused across dispatches (a GA reuses one pool
 //!   for all its generations; a campaign session for all its units), so

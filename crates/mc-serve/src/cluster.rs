@@ -20,6 +20,10 @@ use mc_fault::{ClusterPlan, SimDisk, StoreIo};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// How long a worker keeps retrying its connection, and (at least) how
+/// long the first submission waits for the fleet to register.
+const WORKER_RETRY: Duration = Duration::from_secs(10);
+
 /// Local cluster configuration.
 #[derive(Debug, Clone)]
 pub struct LocalClusterConfig {
@@ -157,7 +161,7 @@ pub fn run_local_cluster(
                     name: format!("w{i}"),
                     threads: cfg.threads_per_worker,
                     heartbeat: (cfg.heartbeat_timeout / 3).max(Duration::from_millis(5)),
-                    retry: Duration::from_secs(10),
+                    retry: WORKER_RETRY,
                     retry_interval: Duration::from_millis(10),
                     throttle: Duration::ZERO,
                     die_after_records: cfg.plan.worker_kill_after[i],
@@ -167,7 +171,27 @@ pub fn run_local_cluster(
             .collect();
 
         let submit = |addr: String| s.spawn(move || wire::submit(&addr, spec));
-        let submit1 = submit(coordinator.local_addr().to_string());
+        // The first submission waits until the whole fleet has
+        // registered, so activation hands every worker a lease at once.
+        // Otherwise fast workers can drain every lease before a slow one
+        // connects, and a worker the plan means to kill never streams the
+        // records its death is counted in.
+        let registered = coordinator.registered_workers();
+        let fleet = cfg.workers;
+        let addr1 = coordinator.local_addr().to_string();
+        let submit1 = s.spawn(move || {
+            let poll = Duration::from_millis(1);
+            for _ in 0..WORKER_RETRY.as_millis() {
+                if registered() >= fleet {
+                    break;
+                }
+                std::thread::sleep(poll);
+            }
+            // Release the probe's hold on the coordinator before the
+            // campaign can start (and so before it can crash).
+            drop(registered);
+            wire::submit(&addr1, spec)
+        });
 
         let mut outcomes = Vec::new();
         let mut restarts = 0;

@@ -219,6 +219,13 @@ impl Coordinator {
         }
     }
 
+    /// A probe for the number of registered workers, callable from
+    /// another thread while [`Coordinator::run`] serves.
+    pub(crate) fn registered_workers(&self) -> impl Fn() -> usize + Send + 'static {
+        let inner = Arc::clone(&self.inner);
+        move || inner.lock_hub().workers.len()
+    }
+
     /// The canonical text of the checkpoint store (header + records
     /// sorted by unit) — the merged result once the outcome says
     /// `completed`.

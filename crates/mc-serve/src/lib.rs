@@ -26,7 +26,7 @@
 //! * [`coordinator`] — the TCP service: accept loop, per-connection
 //!   readers, heartbeat sweeper, checkpoint store.
 //! * [`worker`] — the worker loop: connect-with-retry, lease execution
-//!   over an [`mc_par::WorkerPool`], in-order record streaming.
+//!   through [`mc_exp::run_units`], in-order record streaming.
 //! * [`cluster`] — the in-process "local cluster" harness (coordinator +
 //!   N worker threads over loopback) driven by seed-derived
 //!   [`mc_fault::ClusterPlan`]s, used by `cargo test`.

@@ -1,5 +1,5 @@
-//! The worker loop: connect (with retry), execute assigned leases over an
-//! [`mc_par::WorkerPool`], stream records back in unit order, survive
+//! The worker loop: connect (with retry), execute assigned leases through
+//! [`mc_exp::run_units`], stream records back in unit order, survive
 //! coordinator restarts by reconnecting.
 //!
 //! A worker is stateless between sessions: every `Assign` carries the
@@ -11,11 +11,10 @@
 
 use crate::wire::{read_frame, write_frame, Message};
 use crate::ServeError;
-use mc_exp::run::Shard;
+use mc_exp::run::{run_units, Shard};
 use mc_exp::spec::WorkUnit;
-use mc_exp::store::UnitRecord;
 use mc_exp::{CampaignSpec, ExpError, UnitRunner};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -98,7 +97,7 @@ pub struct WorkerConfig {
     pub name: String,
     /// Thread budget for lease execution (0 = all cores), split between
     /// unit fan-out and per-unit inner parallelism by
-    /// [`mc_par::ThreadBudget`].
+    /// [`mc_exp::run_units`].
     pub threads: usize,
     /// Heartbeat send interval.
     pub heartbeat: Duration,
@@ -329,59 +328,9 @@ enum LeaseEnd {
     Died,
 }
 
-/// Shared streaming state: records flush to the coordinator in unit
-/// order (out-of-order completions park, exactly like the runner's store
-/// sink), which makes the simulated-death prefix deterministic.
-struct StreamSink<'a> {
-    writer: &'a Mutex<TcpStream>,
-    lease: u64,
-    next: usize,
-    parked: BTreeMap<usize, UnitRecord>,
-    sent: u64,
-    die_after: Option<u64>,
-    sent_total: u64,
-    end: Option<LeaseEnd>,
-}
-
-impl StreamSink<'_> {
-    /// Accepts the `pos`-th pending unit's record; flushes everything now
-    /// in order. `false` stops the pool.
-    fn complete(&mut self, pos: usize, record: UnitRecord) -> bool {
-        self.parked.insert(pos, record);
-        while let Some(record) = self.parked.remove(&self.next) {
-            if let Some(limit) = self.die_after {
-                if self.sent_total >= limit {
-                    // Simulated SIGKILL: no goodbye, no flush — slam the
-                    // socket mid-protocol.
-                    let w = self.writer.lock().expect("writer poisoned");
-                    let _ = w.shutdown(Shutdown::Both);
-                    self.end = Some(LeaseEnd::Died);
-                    return false;
-                }
-            }
-            let mut w = self.writer.lock().expect("writer poisoned");
-            if write_frame(
-                &mut *w,
-                &Message::Record {
-                    lease: self.lease,
-                    record,
-                },
-            )
-            .is_err()
-            {
-                self.end = Some(LeaseEnd::Disconnected);
-                return false;
-            }
-            drop(w);
-            mc_obs::counter("serve.sent", 1);
-            self.sent += 1;
-            self.sent_total += 1;
-            self.next += 1;
-        }
-        true
-    }
-}
-
+/// Runs one lease's pending units through [`mc_exp::run_units`] and
+/// streams each record to the coordinator in unit order, which makes the
+/// simulated-death prefix deterministic.
 #[allow(clippy::too_many_arguments)]
 fn run_lease(
     lease: u64,
@@ -401,53 +350,43 @@ fn run_lease(
         .map(|u| spec.unit(u))
         .collect();
 
-    let (outer, inner) = mc_par::ThreadBudget::explicit(cfg.threads).split(pending.len());
-    let inner_threads = inner.get();
-    let pool = mc_par::WorkerPool::new(outer);
-
-    let sink = Mutex::new(StreamSink {
-        writer,
-        lease,
-        next: 0,
-        parked: BTreeMap::new(),
-        sent: 0,
-        die_after: cfg.die_after_records,
-        sent_total: *sent_total,
-        end: None,
-    });
-    let error: Mutex<Option<ExpError>> = Mutex::new(None);
-
-    pool.for_each_while(pending.len(), |pos| {
-        let unit = pending[pos];
-        let _unit_span = mc_obs::span("serve.unit");
-        match runner.run_unit(&unit, inner_threads) {
-            Ok(metrics) => {
-                if !cfg.throttle.is_zero() {
-                    std::thread::sleep(cfg.throttle);
-                }
-                let record = UnitRecord {
-                    unit: unit.index,
-                    point: unit.point,
-                    replica: unit.replica,
-                    seed: unit.seed,
-                    metrics,
-                };
-                sink.lock().expect("sink poisoned").complete(pos, record)
-            }
-            Err(e) => {
-                *error.lock().expect("error poisoned") = Some(e);
-                false
-            }
+    // The pacing delay sleeps on the unit's own thread, outside the
+    // dispatcher's delivery lock.
+    let throttled = |unit: &WorkUnit, inner: usize| {
+        let metrics = runner.run_unit(unit, inner)?;
+        if !cfg.throttle.is_zero() {
+            std::thread::sleep(cfg.throttle);
         }
+        Ok(metrics)
+    };
+    let mut sent = 0;
+    let mut end = None;
+    let dispatched = run_units(&pending, &throttled, cfg.threads, "serve.unit", |record| {
+        if cfg
+            .die_after_records
+            .is_some_and(|limit| *sent_total >= limit)
+        {
+            // Simulated SIGKILL: no goodbye, no flush — slam the socket
+            // mid-protocol.
+            let w = writer.lock().expect("writer poisoned");
+            let _ = w.shutdown(Shutdown::Both);
+            end = Some(LeaseEnd::Died);
+            return false;
+        }
+        let mut w = writer.lock().expect("writer poisoned");
+        if write_frame(&mut *w, &Message::Record { lease, record }).is_err() {
+            end = Some(LeaseEnd::Disconnected);
+            return false;
+        }
+        drop(w);
+        mc_obs::counter("serve.sent", 1);
+        sent += 1;
+        *sent_total += 1;
+        true
     });
-
-    if let Some(e) = error.into_inner().expect("error poisoned") {
-        return Err(ServeError::Exp(e));
-    }
-    let sink = sink.into_inner().expect("sink poisoned");
-    summary.records += sink.sent;
-    *sent_total = sink.sent_total;
-    if let Some(end) = sink.end {
+    summary.records += sent;
+    dispatched?;
+    if let Some(end) = end {
         return Ok(end);
     }
     let mut w = writer.lock().expect("writer poisoned");
