@@ -1,5 +1,8 @@
-//! The original linear-scan simulator, kept as a differential oracle for
-//! the event-calendar engine in [`super::engine`]. Test builds only.
+//! The original linear-scan simulators, kept as differential oracles for
+//! the event-calendar engine in [`super::engine`]: this module holds the
+//! dual-criticality loop, [`multi`] the `L`-level one. Test builds only.
+
+mod multi;
 
 use super::engine::{event_bound, ModeSwitchPolicy, SimConfig, EVENTS_PER_RELEASE};
 use super::metrics::SimMetrics;
@@ -26,6 +29,16 @@ struct Job {
     /// Set when a task-level mode switch already contained this (HC) job's
     /// overrun, so it is counted once.
     contained: bool,
+}
+
+/// Case count for the oracle properties: `default` unless
+/// `CHEBYMC_ORACLE_CASES` overrides it (CI runs the suites in release with
+/// thousands of cases).
+fn oracle_cases(default: u32) -> u32 {
+    std::env::var("CHEBYMC_ORACLE_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
 /// The linear-scan engine, verbatim apart from the shared event bound:
@@ -312,8 +325,8 @@ fn apply_lc_policy(
 
 /// The event-calendar engine against this reference: identical
 /// `SimMetrics`, or the identical error, on every generated case. Case
-/// counts default low for debug builds; `CHEBYMC_ORACLE_CASES` scales the
-/// main property (CI runs it in release with thousands of cases).
+/// counts default low for debug builds; `CHEBYMC_ORACLE_CASES` scales
+/// them.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,13 +336,6 @@ mod tests {
     use mc_task::automotive::{generate_automotive_taskset, AutomotiveConfig};
     use mc_task::{McTask, TaskId};
     use std::cell::Cell;
-
-    fn cases(default: u32) -> u32 {
-        std::env::var("CHEBYMC_ORACLE_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
 
     /// 1–8 tasks with constrained deadlines (`D ≤ P`). Half the sets draw
     /// periods from a small ladder so releases and deadlines collide; the
@@ -453,7 +459,7 @@ mod tests {
             Cell::new(0u32),
         );
         assert_prop(
-            &PropConfig::named("calendar-vs-linear-scan").cases(cases(300)),
+            &PropConfig::named("calendar-vs-linear-scan").cases(oracle_cases(300)),
             |rng| rng.next_u64(),
             |&scenario| {
                 let mut rng = FaultRng::new(scenario);
@@ -493,7 +499,8 @@ mod tests {
     fn calendar_engine_matches_the_reference_on_automotive_sets() {
         let switched = Cell::new(0u32);
         assert_prop(
-            &PropConfig::named("calendar-vs-linear-scan-automotive").cases(cases(300) / 100 + 1),
+            &PropConfig::named("calendar-vs-linear-scan-automotive")
+                .cases(oracle_cases(300) / 100 + 1),
             |rng| rng.next_u64(),
             |&scenario| {
                 let mut rng = FaultRng::new(scenario);
