@@ -52,10 +52,10 @@ pub enum SchedError {
     },
     /// Simulation requires at least one task.
     EmptyTaskSet,
-    /// A simulator's event loop exceeded its safety bound. `simulate`
-    /// derives its bound from the workload, so only a zero period (a set
-    /// that bypassed the task builder) or an engine defect reaches it;
-    /// `simulate_multi` still caps every run at 10⁷ events.
+    /// The simulator's event loop exceeded its safety bound. `simulate` and
+    /// `simulate_multi` derive the bound from the workload, so only a zero
+    /// period (a set that bypassed the task builder) or an engine defect
+    /// reaches it.
     SimulationDiverged,
     /// The EDF demand-bound test (`analysis::dbf::edf_demand_test`) needed
     /// more check points than its cap allows before reaching its analysis

@@ -1,12 +1,14 @@
-//! The preemptive uniprocessor simulation engine.
+//! The preemptive uniprocessor simulation engine: one event calendar over
+//! `L` criticality levels. [`simulate`] runs it with `L = 2`;
+//! [`super::simulate_multi`] runs it with the task set's `L`.
 
 use super::exec_model::JobExecModel;
 use super::metrics::SimMetrics;
-use super::LcPolicy;
+use super::{LcPolicy, MultiSimMetrics};
 use crate::analysis::edf_vd;
 use crate::SchedError;
 use mc_task::time::{Duration, Instant};
-use mc_task::{Criticality, McTask, TaskSet};
+use mc_task::TaskSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -27,6 +29,16 @@ pub enum ModeSwitchPolicy {
     /// continues untouched. Only a second concurrent overrun escalates to
     /// a system-level HI switch.
     TaskLevelThenSystem,
+}
+
+impl ModeSwitchPolicy {
+    /// Concurrent budget overruns that escalate the system.
+    pub(super) fn threshold(self) -> usize {
+        match self {
+            ModeSwitchPolicy::System => 1,
+            ModeSwitchPolicy::TaskLevelThenSystem => 2,
+        }
+    }
 }
 
 /// Configuration of one simulation run.
@@ -97,18 +109,17 @@ impl SimConfig {
     }
 }
 
-/// Upper bound on events per release attempt. Every loop iteration after
-/// the first ends at the horizon or at an instant that retires one of:
-/// a batch of releases, a budget crossing, or a completion or deadline kill
-/// (at most one of each per job). Three per release suffice; the fourth is
-/// margin.
+/// Upper bound on events per release attempt with two levels. Every loop
+/// iteration after the first ends at the horizon or at an instant that
+/// retires one of: a batch of releases, a budget crossing, or a completion
+/// or deadline kill (at most one of each per job). Three per release
+/// suffice; the fourth is margin.
 pub(super) const EVENTS_PER_RELEASE: u64 = 4;
 
 /// The event-loop guard for tasks of the given `periods` over `horizon`:
 /// Σᵢ (⌊horizon/Pᵢ⌋ + 1) release attempts times `events_per_release`, plus
-/// two, so a valid run of any length never trips it. The dual engine
-/// passes [`EVENTS_PER_RELEASE`]; the multi-level engine adds one budget
-/// crossing per level above two.
+/// two, so a valid run of any length never trips it. The engine passes
+/// [`EVENTS_PER_RELEASE`] plus one budget crossing per level above two.
 ///
 /// # Errors
 ///
@@ -131,38 +142,102 @@ pub(super) fn event_bound(
         .saturating_add(2))
 }
 
+/// One task as the engine sees it.
 #[derive(Debug, Clone)]
-struct Job {
+pub(super) struct TaskRow {
+    pub(super) period: Duration,
+    /// Relative deadline.
+    pub(super) deadline: Duration,
+    /// Criticality level: the task runs in modes `0..=level`.
+    pub(super) level: usize,
+    /// `C(0..=level)`: the budget in each mode the task runs in.
+    pub(super) budgets: Vec<Duration>,
+    /// The relative virtual deadline in each mode below `level`.
+    pub(super) virtual_deadlines: Vec<Duration>,
+}
+
+/// The rules of one run, apart from the task table.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Rules {
+    /// Number of criticality levels (and modes) `L`.
+    pub(super) levels: usize,
+    pub(super) horizon: Duration,
+    /// Applied to the jobs and releases below the mode.
+    pub(super) lc_policy: LcPolicy,
+    /// Pending jobs past the current mode's budget that escalate; fewer
+    /// are contained at task level.
+    pub(super) threshold: usize,
+    pub(super) release_jitter: Duration,
+    pub(super) seed: u64,
+}
+
+/// What one run counted: the multi-level metrics, plus two counts only
+/// the dual-criticality adapter reports.
+#[derive(Debug, Clone)]
+pub(super) struct Counts {
+    pub(super) metrics: MultiSimMetrics,
+    /// Completions truncated by [`LcPolicy::Degrade`] (counted as
+    /// completed too).
+    pub(super) degraded: u64,
+    /// Jobs whose overrun was contained at task level (counted once each).
+    pub(super) contained: u64,
+}
+
+#[derive(Debug, Clone)]
+struct Job<'a> {
     /// Unique per release; heap entries naming a departed job go stale.
     id: u64,
     task_idx: usize,
-    criticality: Criticality,
+    task: &'a TaskRow,
+    /// `C(0..level)`, the budgets whose exhaustion is an overrun; its
+    /// length is the task's level.
+    lower_budgets: &'a [Duration],
+    release: Instant,
     abs_deadline: Instant,
-    virtual_deadline: Instant,
     remaining: Duration,
     executed: Duration,
-    /// LO-mode budget: executing past this in LO mode triggers the switch.
-    budget_lo: Duration,
-    /// Set when HI mode truncated this (LC) job's demand.
+    /// Set when [`LcPolicy::Degrade`] truncated this job's demand.
     degraded: bool,
-    /// Set when a task-level mode switch already contained this (HC) job's
+    /// Set when a task-level mode switch already contained this job's
     /// overrun, so it is counted once.
     contained: bool,
 }
 
-impl Job {
-    /// The EDF key: virtual deadlines in LO mode, real ones in HI mode.
-    fn key(&self, mode: Criticality) -> Instant {
-        match mode {
-            Criticality::Lo => self.virtual_deadline,
-            Criticality::Hi => self.abs_deadline,
+impl<'a> Job<'a> {
+    /// The EDF key: the mode's virtual deadline for a job above the mode,
+    /// the real deadline otherwise.
+    fn key(&self, mode: usize) -> Instant {
+        if self.level() > mode {
+            self.release + self.task.virtual_deadlines[mode]
+        } else {
+            self.abs_deadline
         }
     }
 
-    /// An HC job that has executed its whole LO-mode budget. Pending jobs
-    /// always have work left, so this is the engine's overrun predicate.
-    fn overruns(&self) -> bool {
-        self.criticality.is_high() && self.executed >= self.budget_lo
+    fn level(&self) -> usize {
+        self.lower_budgets.len()
+    }
+
+    /// The modes below the job's level whose budget it has executed.
+    fn exhausted(&self) -> impl Iterator<Item = usize> + 'a {
+        let executed = self.executed;
+        self.lower_budgets
+            .iter()
+            .enumerate()
+            .filter_map(move |(m, &budget)| (executed >= budget).then_some(m))
+    }
+
+    /// Truncates the job's demand to [`LcPolicy::Degrade`]'s fraction `f`
+    /// of its own-level budget (at least one nanosecond).
+    fn degrade(&mut self, f: f64) {
+        let budget = self.task.budgets[self.task.level].mul_f64(f);
+        let allowed = budget
+            .max(Duration::from_nanos(1))
+            .saturating_sub(self.executed);
+        if self.remaining > allowed {
+            self.remaining = allowed;
+            self.degraded = true;
+        }
     }
 }
 
@@ -174,30 +249,31 @@ type Entry = Reverse<(Instant, usize, u64, usize)>;
 /// with lazy deletion: an entry is live while its slot still holds the job
 /// it names.
 #[derive(Debug)]
-struct Pending {
-    slots: Vec<Option<Job>>,
+struct Pending<'a> {
+    slots: Vec<Option<Job<'a>>>,
     free: Vec<usize>,
     /// Keyed by the EDF key of the current mode; `(key, task index)` is a
     /// strict order because jobs of one task release at distinct instants.
-    /// Rebuilt on LO → HI.
+    /// Rebuilt when the mode changes a pending job's key.
     ready: BinaryHeap<Entry>,
     /// Keyed by absolute deadline.
     deadlines: BinaryHeap<Entry>,
-    /// Pending HC jobs.
-    hc: usize,
-    /// Pending HC jobs past their LO budget.
-    overrunning: usize,
+    /// Pending jobs per task level.
+    per_level: Vec<usize>,
+    /// `overrunning[m]`: pending jobs above level `m` that have executed
+    /// their budget `C(m)`.
+    overrunning: Vec<usize>,
 }
 
-impl Pending {
-    fn with_capacity(n: usize) -> Self {
+impl<'a> Pending<'a> {
+    fn new(tasks: usize, levels: usize) -> Self {
         Pending {
-            slots: Vec::with_capacity(n),
-            free: Vec::with_capacity(n),
-            ready: BinaryHeap::with_capacity(n),
-            deadlines: BinaryHeap::with_capacity(n),
-            hc: 0,
-            overrunning: 0,
+            slots: Vec::with_capacity(tasks),
+            free: Vec::with_capacity(tasks),
+            ready: BinaryHeap::with_capacity(tasks),
+            deadlines: BinaryHeap::with_capacity(tasks),
+            per_level: vec![0; levels],
+            overrunning: vec![0; levels],
         }
     }
 
@@ -206,13 +282,14 @@ impl Pending {
         self.slots[slot].as_ref().is_some_and(|j| j.id == id)
     }
 
-    /// Adds `job` and returns its slot.
-    fn insert(&mut self, job: Job, mode: Criticality) -> usize {
-        if job.criticality.is_high() {
-            self.hc += 1;
-        }
-        if job.overruns() {
-            self.overrunning += 1;
+    /// Adds `job` and returns its slot and whether it overruns on release
+    /// (a zero budget; deserialized sets only).
+    fn insert(&mut self, job: Job<'a>, mode: usize) -> (usize, bool) {
+        self.per_level[job.level()] += 1;
+        let mut overruns = false;
+        for m in job.exhausted() {
+            self.overrunning[m] += 1;
+            overruns = true;
         }
         let (key, deadline, task_idx, id) = (job.key(mode), job.abs_deadline, job.task_idx, job.id);
         let slot = match self.free.pop() {
@@ -227,19 +304,35 @@ impl Pending {
         };
         self.ready.push(Reverse((key, task_idx, id, slot)));
         self.deadlines.push(Reverse((deadline, task_idx, id, slot)));
-        slot
+        (slot, overruns)
     }
 
-    fn remove(&mut self, slot: usize) -> Option<Job> {
+    fn remove(&mut self, slot: usize) -> Option<Job<'a>> {
         let job = self.slots[slot].take()?;
         self.free.push(slot);
-        if job.criticality.is_high() {
-            self.hc -= 1;
-        }
-        if job.overruns() {
-            self.overrunning -= 1;
+        self.per_level[job.level()] -= 1;
+        for m in job.exhausted() {
+            self.overrunning[m] -= 1;
         }
         Some(job)
+    }
+
+    /// Runs the job in `slot` for `delta`. Returns its id if it exhausted
+    /// a further budget, and whether it completed.
+    fn advance(&mut self, slot: usize, delta: Duration) -> (Option<u64>, bool) {
+        let Some(j) = self.slots[slot].as_mut() else {
+            return (None, false);
+        };
+        let mut crossed = false;
+        for (count, &budget) in self.overrunning.iter_mut().zip(j.lower_budgets) {
+            if j.executed < budget && budget <= j.executed + delta {
+                *count += 1;
+                crossed = true;
+            }
+        }
+        j.remaining = j.remaining.saturating_sub(delta);
+        j.executed += delta;
+        (crossed.then_some(j.id), j.remaining.is_zero())
     }
 
     /// The slot of the job EDF dispatches now.
@@ -265,7 +358,7 @@ impl Pending {
 
     /// Removes and returns a pending job whose deadline is at or before
     /// `clock`.
-    fn pop_missed(&mut self, clock: Instant) -> Option<Job> {
+    fn pop_missed(&mut self, clock: Instant) -> Option<Job<'a>> {
         if self.earliest_deadline()? > clock {
             return None;
         }
@@ -273,10 +366,8 @@ impl Pending {
         self.remove(slot)
     }
 
-    /// Re-keys the ready queue for `mode`. Only LO → HI needs it: HI → LO
-    /// happens with no HC job pending, and LC keys are the same in both
-    /// modes.
-    fn rekey(&mut self, mode: Criticality) {
+    /// Re-keys the ready queue for `mode`.
+    fn rekey(&mut self, mode: usize) {
         self.ready.clear();
         for (slot, job) in self.slots.iter().enumerate() {
             if let Some(j) = job {
@@ -285,15 +376,249 @@ impl Pending {
             }
         }
     }
+
+    /// Applies the policy to the jobs below `mode` on an escalation into
+    /// it.
+    fn apply_lc_policy(&mut self, mode: usize, policy: LcPolicy, counts: &mut Counts) {
+        for slot in 0..self.slots.len() {
+            let Some(j) = self.slots[slot].as_mut().filter(|j| j.level() < mode) else {
+                continue;
+            };
+            let level = j.level();
+            match policy {
+                LcPolicy::DropAll => {
+                    self.remove(slot);
+                    counts.metrics.jobs_killed += 1;
+                }
+                LcPolicy::Degrade(f) => {
+                    j.degrade(f);
+                    // A job that already consumed its degraded budget
+                    // completes now.
+                    if j.remaining.is_zero() {
+                        self.remove(slot);
+                        counts.metrics.completed_per_level[level] += 1;
+                        counts.degraded += 1;
+                    }
+                }
+            }
+        }
+    }
 }
 
-/// Runs one simulation of `ts` under `cfg` and returns the collected
-/// metrics.
+/// Runs one simulation of the task table under `rules`, drawing each
+/// admitted job's execution time with `draw(task index, rng)`.
 ///
 /// The engine is an event calendar: a release heap keyed by
 /// `(time, task index)`, a ready queue keyed by `(EDF key, task index)`,
 /// and a deadline heap, so the cost of an event is logarithmic in the
-/// pending-job count and independent of the task count.
+/// pending-job count and independent of the task count. The rules are
+/// the paper's §III operational model over `L` modes:
+///
+/// * the system starts in mode 0, and a job above the mode is dispatched
+///   by its virtual deadline for that mode;
+/// * while at least `rules.threshold` pending jobs have exhausted the
+///   current mode's budget, the system escalates one mode, applies the
+///   LC policy to the jobs below the new mode and re-keys the ready queue;
+///   overruns below the threshold are contained at task level;
+/// * releases below the mode are rejected (drop-all) or degraded;
+/// * the system returns to mode 0 once no job at or above the current
+///   mode is pending.
+///
+/// # Errors
+///
+/// Returns [`SchedError::SimulationDiverged`] for a zero period or if the
+/// event loop ever outruns [`event_bound`], and
+/// [`SchedError::EmptyTaskSet`] for an empty table.
+pub(super) fn run(
+    tasks: &[TaskRow],
+    rules: &Rules,
+    mut draw: impl FnMut(usize, &mut StdRng) -> Duration,
+) -> Result<Counts, SchedError> {
+    let levels = rules.levels;
+    let max_events = event_bound(
+        tasks.iter().map(|t| t.period),
+        rules.horizon,
+        EVENTS_PER_RELEASE + (levels as u64).saturating_sub(2),
+    )?;
+    let mut rng = StdRng::seed_from_u64(rules.seed);
+    // Every task releases at t = 0; popping in (time, index) order keeps
+    // the RNG draw order of same-instant releases.
+    let mut releases: BinaryHeap<Reverse<(Instant, usize)>> = (0..tasks.len())
+        .map(|i| Reverse((Instant::ZERO, i)))
+        .collect();
+    let mut pending = Pending::new(tasks.len(), levels);
+    // Jobs that exhausted a budget since the last overrun check.
+    let mut fresh_overruns: Vec<(u64, usize)> = Vec::new();
+    let mut next_id: u64 = 0;
+    let mut mode = 0;
+    let mut mode_entered = Instant::ZERO;
+    let mut clock = Instant::ZERO;
+    let mut counts = Counts {
+        metrics: MultiSimMetrics {
+            released_per_level: vec![0; levels],
+            completed_per_level: vec![0; levels],
+            misses_per_level: vec![0; levels],
+            escalations: vec![0; levels.saturating_sub(1)],
+            time_in_mode: vec![Duration::ZERO; levels],
+            horizon: rules.horizon,
+            ..MultiSimMetrics::default()
+        },
+        degraded: 0,
+        contained: 0,
+    };
+    let horizon = Instant::ZERO + rules.horizon;
+    let mut guard: u64 = 0;
+
+    loop {
+        guard += 1;
+        if guard > max_events {
+            return Err(SchedError::SimulationDiverged);
+        }
+
+        // Dispatch: EDF over the current mode's keys. Ties break on task
+        // index for determinism.
+        let running = pending.head();
+
+        // Next event time. An empty release calendar is a structural error
+        // (guarded above), never a panic: mc-serve workers simulate task
+        // sets rebuilt from shipped specs and must fail a unit, not crash.
+        let Reverse((t_release, _)) = *releases.peek().ok_or(SchedError::EmptyTaskSet)?;
+        let mut t_next = horizon.min(t_release);
+        if let Some(j) = running.and_then(|slot| pending.slots[slot].as_ref()) {
+            t_next = t_next.min(clock + j.remaining);
+            // The running job's crossing of the current mode's budget.
+            if let Some(&budget) = j.lower_budgets.get(mode) {
+                if j.executed < budget {
+                    t_next = t_next.min(clock + (budget - j.executed));
+                }
+            }
+        }
+        // Earliest pending deadline, the running job's included (a queued
+        // job can miss while another runs).
+        if let Some(d) = pending.earliest_deadline() {
+            t_next = t_next.min(d);
+        }
+
+        // Advance time, accounting execution to the running job.
+        let delta = t_next - clock;
+        let mut completed = None;
+        if let Some(slot) = running {
+            counts.metrics.busy_time += delta;
+            let (overran, done) = pending.advance(slot, delta);
+            if let Some(id) = overran {
+                fresh_overruns.push((id, slot));
+            }
+            if done {
+                completed = Some(slot);
+            }
+        }
+        clock = t_next;
+
+        if clock >= horizon {
+            break;
+        }
+
+        // 1. Completion of the running job.
+        if let Some(j) = completed.and_then(|slot| pending.remove(slot)) {
+            counts.metrics.completed_per_level[j.level()] += 1;
+            counts.degraded += u64::from(j.degraded);
+        }
+
+        // 2. Budget overruns. Below the threshold each overrunning job is
+        // contained at task level (counted once per job); at the
+        // threshold the system escalates, one mode at a time.
+        if rules.threshold > 1 && mode + 1 < levels {
+            for &(id, slot) in &fresh_overruns {
+                if let Some(j) = pending.slots[slot].as_mut().filter(|j| j.id == id) {
+                    if !j.contained {
+                        j.contained = true;
+                        counts.contained += 1;
+                    }
+                }
+            }
+        }
+        fresh_overruns.clear();
+        while mode + 1 < levels && pending.overrunning[mode] >= rules.threshold {
+            counts.metrics.escalations[mode] += 1;
+            counts.metrics.time_in_mode[mode] += clock - mode_entered;
+            mode_entered = clock;
+            mode += 1;
+            pending.apply_lc_policy(mode, rules.lc_policy, &mut counts);
+            pending.rekey(mode);
+        }
+
+        // 3. Deadline misses: any unfinished job past its absolute deadline
+        // is killed and counted.
+        while let Some(j) = pending.pop_missed(clock) {
+            counts.metrics.misses_per_level[j.level()] += 1;
+        }
+
+        // 4. §III: back to mode 0 once no job at or above the mode is
+        // pending. Jobs left behind sit below the old mode and were keyed
+        // by their real deadline; only a job above level 0 changes key.
+        if mode > 0 && pending.per_level[mode..].iter().all(|&n| n == 0) {
+            counts.metrics.time_in_mode[mode] += clock - mode_entered;
+            mode_entered = clock;
+            if mode > 1 {
+                pending.rekey(0);
+            }
+            mode = 0;
+        }
+
+        // 5. Releases due now.
+        while let Some(mut due) = releases.peek_mut() {
+            let Reverse((t, idx)) = *due;
+            if t != clock {
+                break;
+            }
+            let task = &tasks[idx];
+            // Sporadic semantics: the period is the *minimum* separation;
+            // jitter pushes the next release later, never earlier.
+            let jitter = if rules.release_jitter.is_zero() {
+                Duration::ZERO
+            } else {
+                Duration::from_nanos(rng.random_range(0..=rules.release_jitter.as_nanos()))
+            };
+            *due = Reverse((clock + task.period + jitter, idx));
+            drop(due);
+            let below_mode = task.level < mode;
+            if below_mode && rules.lc_policy == LcPolicy::DropAll {
+                counts.metrics.releases_rejected += 1;
+                continue;
+            }
+            counts.metrics.released_per_level[task.level] += 1;
+            let id = next_id;
+            next_id += 1;
+            let mut job = Job {
+                id,
+                task_idx: idx,
+                task,
+                lower_budgets: &task.budgets[..task.level],
+                release: clock,
+                abs_deadline: clock + task.deadline,
+                remaining: draw(idx, &mut rng),
+                executed: Duration::ZERO,
+                degraded: false,
+                contained: false,
+            };
+            if let (true, LcPolicy::Degrade(f)) = (below_mode, rules.lc_policy) {
+                job.degrade(f);
+            }
+            let (slot, overruns) = pending.insert(job, mode);
+            if overruns {
+                fresh_overruns.push((id, slot));
+            }
+        }
+    }
+
+    counts.metrics.time_in_mode[mode] += clock.min(horizon) - mode_entered;
+    Ok(counts)
+}
+
+/// Runs one simulation of `ts` under `cfg` and returns the collected
+/// metrics: the engine with two levels, LC tasks at level 0 with budget
+/// `C_LO` and HC tasks at level 1 with budgets `(C_LO, C_HI)` and the
+/// EDF-VD virtual deadline `x·D` in LO mode.
 ///
 /// # Errors
 ///
@@ -333,277 +658,57 @@ pub fn simulate(ts: &TaskSet, cfg: &SimConfig) -> Result<SimMetrics, SchedError>
         Some(x) => x,
         None => edf_vd::x_factor(ts.u_hc_lo(), ts.u_lc_lo()).unwrap_or(1.0),
     };
-    let max_events = event_bound(
-        ts.iter().map(McTask::period),
-        cfg.horizon,
-        EVENTS_PER_RELEASE,
-    )?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let tasks = ts.tasks();
-    // Every task releases at t = 0; popping in (time, index) order keeps
-    // the RNG draw order of same-instant releases.
-    let mut releases: BinaryHeap<Reverse<(Instant, usize)>> = (0..tasks.len())
-        .map(|i| Reverse((Instant::ZERO, i)))
+    let table: Vec<TaskRow> = ts
+        .iter()
+        .map(|task| {
+            let level = usize::from(task.is_high());
+            TaskRow {
+                period: task.period(),
+                deadline: task.deadline(),
+                level,
+                budgets: [task.c_lo(), task.c_hi()][..=level].to_vec(),
+                virtual_deadlines: [edf_vd::virtual_deadline(task, x)][..level].to_vec(),
+            }
+        })
         .collect();
-    let mut pending = Pending::with_capacity(tasks.len());
-    // HC jobs that crossed their LO budget since the last overrun check.
-    let mut fresh_overruns: Vec<(u64, usize)> = Vec::new();
-    let mut next_id: u64 = 0;
-    let mut mode = Criticality::Lo;
-    let mut clock = Instant::ZERO;
-    let mut metrics = SimMetrics {
+    let rules = Rules {
+        levels: 2,
         horizon: cfg.horizon,
-        ..SimMetrics::default()
+        lc_policy: cfg.lc_policy,
+        threshold: cfg.mode_switch.threshold(),
+        release_jitter: cfg.release_jitter,
+        seed: cfg.seed,
     };
-    let horizon = Instant::ZERO + cfg.horizon;
-    let mut hi_entered_at: Option<Instant> = None;
-    let mut guard: u64 = 0;
-
-    loop {
-        guard += 1;
-        if guard > max_events {
-            return Err(SchedError::SimulationDiverged);
-        }
-
-        // Dispatch: EDF over virtual deadlines in LO mode, real deadlines in
-        // HI mode. Ties break on task index for determinism.
-        let running = pending.head();
-
-        // Next event time. An empty release calendar is a structural error
-        // (guarded above), never a panic: mc-serve workers simulate task
-        // sets rebuilt from shipped specs and must fail a unit, not crash.
-        let Reverse((t_release, _)) = *releases.peek().ok_or(SchedError::EmptyTaskSet)?;
-        let mut t_next = horizon.min(t_release);
-        if let Some(j) = running.and_then(|slot| pending.slots[slot].as_ref()) {
-            t_next = t_next.min(clock + j.remaining);
-            if mode == Criticality::Lo && j.criticality.is_high() && j.executed < j.budget_lo {
-                t_next = t_next.min(clock + (j.budget_lo - j.executed));
-            }
-        }
-        // Earliest pending deadline, the running job's included (a queued
-        // job can miss while another runs).
-        if let Some(d) = pending.earliest_deadline() {
-            t_next = t_next.min(d);
-        }
-
-        // Advance time, accounting execution to the running job.
-        let delta = t_next - clock;
-        let mut completed = None;
-        if let Some((slot, j)) =
-            running.and_then(|slot| Some((slot, pending.slots[slot].as_mut()?)))
-        {
-            let was_overrunning = j.overruns();
-            j.remaining = j.remaining.saturating_sub(delta);
-            j.executed += delta;
-            metrics.busy_time += delta;
-            if !was_overrunning && j.overruns() {
-                pending.overrunning += 1;
-                fresh_overruns.push((j.id, slot));
-            }
-            if j.remaining.is_zero() {
-                completed = Some(slot);
-            }
-        }
-        clock = t_next;
-
-        if clock >= horizon {
-            break;
-        }
-
-        // 1. Completion of the running job.
-        if let Some(j) = completed.and_then(|slot| pending.remove(slot)) {
-            match j.criticality {
-                Criticality::Hi => metrics.hc_completed += 1,
-                Criticality::Lo => {
-                    if j.degraded {
-                        metrics.lc_degraded += 1;
-                    } else {
-                        metrics.lc_completed += 1;
-                    }
-                }
-            }
-            // §III: back to LO when no HC job is ready.
-            if mode == Criticality::Hi && pending.hc == 0 {
-                mode = Criticality::Lo;
-                if let Some(t0) = hi_entered_at.take() {
-                    metrics.time_in_hi += clock - t0;
-                }
-            }
-        }
-
-        // 2. Budget overrun of (possibly still running) HC jobs.
-        if mode == Criticality::Lo {
-            let escalate = match cfg.mode_switch {
-                ModeSwitchPolicy::System => pending.overrunning > 0,
-                ModeSwitchPolicy::TaskLevelThenSystem => {
-                    // Contain each overrunning job at task level (counted
-                    // once per job); escalate only on concurrent overruns.
-                    for &(id, slot) in &fresh_overruns {
-                        if let Some(j) = pending.slots[slot].as_mut().filter(|j| j.id == id) {
-                            if !j.contained {
-                                j.contained = true;
-                                metrics.task_level_switches += 1;
-                            }
-                        }
-                    }
-                    pending.overrunning >= 2
-                }
-            };
-            if escalate {
-                mode = Criticality::Hi;
-                hi_entered_at = Some(clock);
-                metrics.mode_switches += 1;
-                apply_lc_policy(&mut pending, tasks, cfg.lc_policy, &mut metrics);
-                pending.rekey(mode);
-            }
-        }
-        // In HI mode no overrun is ever contained: the system only returns
-        // to LO once every HC job, these included, has left.
-        fresh_overruns.clear();
-
-        // 3. Deadline misses: any unfinished job past its absolute deadline
-        // is killed and counted.
-        while let Some(j) = pending.pop_missed(clock) {
-            match j.criticality {
-                Criticality::Hi => metrics.hc_deadline_misses += 1,
-                Criticality::Lo => metrics.lc_deadline_misses += 1,
-            }
-        }
-        // A killed HC job may have been the last HC work.
-        if mode == Criticality::Hi && pending.hc == 0 {
-            mode = Criticality::Lo;
-            if let Some(t0) = hi_entered_at.take() {
-                metrics.time_in_hi += clock - t0;
-            }
-        }
-
-        // 4. Releases due now.
-        while let Some(mut due) = releases.peek_mut() {
-            let Reverse((t, idx)) = *due;
-            if t != clock {
-                break;
-            }
-            let task = &tasks[idx];
-            // Sporadic semantics: the period is the *minimum* separation;
-            // jitter pushes the next release later, never earlier.
-            let jitter = if cfg.release_jitter.is_zero() {
-                Duration::ZERO
-            } else {
-                Duration::from_nanos(rng.random_range(0..=cfg.release_jitter.as_nanos()))
-            };
-            *due = Reverse((clock + task.period() + jitter, idx));
-            drop(due);
-            if task.criticality().is_low() && mode == Criticality::Hi {
-                match cfg.lc_policy {
-                    LcPolicy::DropAll => {
-                        metrics.lc_rejected_in_hi += 1;
-                        continue;
-                    }
-                    LcPolicy::Degrade(_) => {}
-                }
-            }
-            let mut exec = cfg.exec_model.draw(task, &mut rng);
-            let mut degraded = false;
-            if task.criticality().is_low() && mode == Criticality::Hi {
-                if let LcPolicy::Degrade(f) = cfg.lc_policy {
-                    let budget = task.c_lo().mul_f64(f).max(Duration::from_nanos(1));
-                    if exec > budget {
-                        exec = budget;
-                        degraded = true;
-                    }
-                }
-            }
-            let release = clock;
-            let abs_deadline = release + task.deadline();
-            let virtual_deadline = if task.is_high() {
-                release + edf_vd::virtual_deadline(task, x)
-            } else {
-                abs_deadline
-            };
-            match task.criticality() {
-                Criticality::Hi => metrics.hc_released += 1,
-                Criticality::Lo => metrics.lc_released += 1,
-            }
-            let id = next_id;
-            next_id += 1;
-            let job = Job {
-                id,
-                task_idx: idx,
-                criticality: task.criticality(),
-                abs_deadline,
-                virtual_deadline,
-                remaining: exec,
-                executed: Duration::ZERO,
-                budget_lo: task.c_lo(),
-                degraded,
-                contained: false,
-            };
-            // A zero LO budget overruns on release (deserialized sets only;
-            // the task builder rejects it).
-            let overruns = job.overruns();
-            let slot = pending.insert(job, mode);
-            if overruns {
-                fresh_overruns.push((id, slot));
-            }
-        }
-    }
-
-    if let Some(t0) = hi_entered_at {
-        metrics.time_in_hi += clock.min(horizon) - t0;
-    }
-    Ok(metrics)
-}
-
-/// Applies the LC policy at the instant of a LO → HI switch.
-fn apply_lc_policy(
-    pending: &mut Pending,
-    tasks: &[mc_task::McTask],
-    policy: LcPolicy,
-    metrics: &mut SimMetrics,
-) {
-    for slot in 0..pending.slots.len() {
-        let Some(j) = pending.slots[slot].as_mut() else {
-            continue;
-        };
-        if j.criticality.is_high() {
-            continue;
-        }
-        match policy {
-            LcPolicy::DropAll => {
-                pending.remove(slot);
-                metrics.lc_dropped_at_switch += 1;
-            }
-            LcPolicy::Degrade(f) => {
-                let budget = tasks[j.task_idx]
-                    .c_lo()
-                    .mul_f64(f)
-                    .max(Duration::from_nanos(1));
-                if j.executed >= budget {
-                    // Already consumed its degraded budget: finish now.
-                    j.remaining = Duration::ZERO;
-                    j.degraded = true;
-                } else {
-                    let allowed = budget - j.executed;
-                    if j.remaining > allowed {
-                        j.remaining = allowed;
-                        j.degraded = true;
-                    }
-                }
-                // A job whose remaining collapsed to zero completes
-                // immediately.
-                if j.remaining.is_zero() {
-                    pending.remove(slot);
-                    metrics.lc_degraded += 1;
-                }
-            }
-        }
-    }
+    let tasks = ts.tasks();
+    let c = run(&table, &rules, |idx, rng| {
+        cfg.exec_model.draw(&tasks[idx], rng)
+    })?;
+    // Only level 0 (LC) sits below a mode, so every kill, rejection and
+    // degraded completion is an LC one.
+    let m = &c.metrics;
+    Ok(SimMetrics {
+        hc_released: m.released_per_level[1],
+        lc_released: m.released_per_level[0],
+        hc_completed: m.completed_per_level[1],
+        lc_completed: m.completed_per_level[0] - c.degraded,
+        lc_degraded: c.degraded,
+        lc_dropped_at_switch: m.jobs_killed,
+        lc_rejected_in_hi: m.releases_rejected,
+        hc_deadline_misses: m.misses_per_level[1],
+        lc_deadline_misses: m.misses_per_level[0],
+        mode_switches: m.escalations[0],
+        task_level_switches: c.contained,
+        time_in_hi: m.time_in_mode[1],
+        busy_time: m.busy_time,
+        horizon: m.horizon,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mc_task::task::{McTask, TaskId};
+    use mc_task::Criticality;
 
     fn hc(id: u32, c_lo_ms: u64, c_hi_ms: u64, p_ms: u64) -> McTask {
         McTask::builder(TaskId::new(id))
@@ -858,6 +963,43 @@ mod tests {
         // 0.5·50 ms per 100 ms period → utilization 0.25.
         assert!((m.utilization() - 0.25).abs() < 0.01);
         assert_eq!(m.lc_completed, 100);
+    }
+
+    #[test]
+    fn returning_to_mode_zero_rekeys_degraded_jobs_above_level_zero() {
+        // Three levels under Degrade(1.0), a combination no adapter runs.
+        // A's first millisecond exhausts C(0) and C(1): the system climbs
+        // to mode 2, where B (level 1) and C (level 0) stay pending under
+        // their real deadlines. A completes at 10 ms and the system
+        // returns to mode 0, where B's virtual deadline (12 ms) precedes
+        // C's deadline (14 ms): B runs and completes at its 15 ms
+        // deadline, and only C misses. Keeping the mode-2 keys would run
+        // C first and miss both.
+        let row = |deadline: u64, budgets: &[u64], vds: &[u64]| TaskRow {
+            period: Duration::from_millis(100),
+            deadline: Duration::from_millis(deadline),
+            level: budgets.len() - 1,
+            budgets: budgets.iter().map(|&b| Duration::from_millis(b)).collect(),
+            virtual_deadlines: vds.iter().map(|&v| Duration::from_millis(v)).collect(),
+        };
+        let table = [
+            row(12, &[1, 1, 10], &[1, 1]),
+            row(15, &[5, 5], &[12]),
+            row(14, &[5], &[]),
+        ];
+        let rules = Rules {
+            levels: 3,
+            horizon: Duration::from_millis(50),
+            lc_policy: LcPolicy::Degrade(1.0),
+            threshold: 1,
+            release_jitter: Duration::ZERO,
+            seed: 0,
+        };
+        let c = run(&table, &rules, |idx, _| *table[idx].budgets.last().unwrap()).unwrap();
+        assert_eq!(c.metrics.escalations, vec![1, 1]);
+        assert_eq!(c.metrics.completed_per_level, vec![0, 1, 1]);
+        assert_eq!(c.metrics.misses_per_level, vec![1, 0, 0]);
+        assert_eq!(c.degraded, 0);
     }
 
     #[test]

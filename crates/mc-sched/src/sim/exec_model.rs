@@ -1,5 +1,6 @@
 //! Per-job execution-time models for simulation.
 
+use mc_stats::dist::standard_normal;
 use mc_task::time::Duration;
 use mc_task::McTask;
 use rand::Rng;
@@ -73,16 +74,7 @@ impl JobExecModel {
                     } else if sigma == 0.0 {
                         p.acet()
                     } else {
-                        // Box–Muller normal draw around the profile.
-                        let u1: f64 = loop {
-                            let u: f64 = rng.random();
-                            if u > 0.0 {
-                                break u;
-                            }
-                        };
-                        let u2: f64 = rng.random();
-                        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                        p.acet() + sigma * z
+                        p.acet() + sigma * standard_normal(rng)
                     };
                     clamp(Duration::try_from_nanos_f64_ceil(x.max(1.0)).unwrap_or(task.c_hi()))
                 }

@@ -7,16 +7,19 @@
 //! hold?
 //!
 //! The simulator implements the paper's §III operational model on a
-//! preemptive uniprocessor:
+//! preemptive uniprocessor. One event-calendar engine runs it over `L`
+//! criticality levels; [`simulate`] is its dual-criticality case `L = 2`
+//! and [`simulate_multi`] runs it with the task set's `L`:
 //!
-//! * the system starts in LO mode with every task admitted;
-//! * jobs are dispatched by EDF over *virtual deadlines* (EDF-VD) in LO
-//!   mode and over real deadlines in HI mode;
-//! * the instant an HC job executes past its optimistic WCET `C_LO`, the
-//!   system switches to HI mode and LC jobs are dropped
-//!   ([`LcPolicy::DropAll`], Baruah et al.) or degraded
-//!   ([`LcPolicy::Degrade`], Liu et al.);
-//! * the system returns to LO mode as soon as no HC job is ready.
+//! * the system starts in LO mode (mode 0) with every task admitted;
+//! * jobs are dispatched by EDF over *virtual deadlines* (EDF-VD) while
+//!   their level is above the mode, and over real deadlines otherwise;
+//! * the instant a job executes past its current-mode budget (`C_LO` in
+//!   the dual case), the system switches up one mode and the work below
+//!   the new mode is dropped ([`LcPolicy::DropAll`], Baruah et al.) or
+//!   degraded ([`LcPolicy::Degrade`], Liu et al.);
+//! * the system returns to LO mode as soon as no job at or above the
+//!   current mode is pending.
 
 mod engine;
 mod exec_model;

@@ -751,8 +751,9 @@ impl Dist {
     }
 }
 
-/// Returns one standard-normal draw (Box–Muller transform).
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// Returns one standard-normal draw (Box–Muller transform): an open-(0, 1)
+/// `u1`, then `u2`, two uniform draws per call.
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1 = open01(rng);
     let u2 = rng.random::<f64>();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
