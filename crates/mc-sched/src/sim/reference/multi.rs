@@ -209,7 +209,7 @@ pub(super) fn simulate_multi_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::reference::oracle_cases;
+    use crate::sim::reference::{merges_interleaved_classes, oracle_cases};
     use crate::sim::{simulate_multi, MultiExecModel};
     use mc_fault::{assert_prop, FaultRng, PropConfig};
     use mc_task::task::TaskId;
@@ -301,6 +301,7 @@ mod tests {
     fn calendar_engine_matches_the_multi_level_reference() {
         let escalated = [(); 4].map(|_| Cell::new(0u32));
         let (killed, rejected, missed) = (Cell::new(0u32), Cell::new(0u32), Cell::new(0u32));
+        let merged = Cell::new(0u32);
         assert_prop(
             &PropConfig::named("calendar-vs-linear-scan-multi").cases(oracle_cases(300)),
             |rng| rng.next_u64(),
@@ -316,11 +317,15 @@ mod tests {
                 bump(&killed, m.jobs_killed > 0);
                 bump(&rejected, m.releases_rejected > 0);
                 bump(&missed, m.misses_per_level.iter().any(|&n| n > 0));
+                let periods: Vec<Duration> = ts.iter().map(MultiTask::period).collect();
+                bump(&merged, merges_interleaved_classes(&periods, cfg.horizon));
                 Ok(())
             },
         );
         // Non-vacuity: an escalation out of every mode a five-level set
-        // can leave, and every way a job can be lost.
+        // can leave, every way a job can be lost, and release classes that
+        // must be merged into task order (the engine runs this adapter
+        // without jitter).
         for (mode, c) in escalated.iter().enumerate() {
             assert!(c.get() > 0, "no case escalated out of mode {mode}");
         }
@@ -328,6 +333,7 @@ mod tests {
             ("kills at an escalation", &killed),
             ("rejected releases", &rejected),
             ("deadline misses", &missed),
+            ("a merge of interleaved release classes", &merged),
         ] {
             assert!(c.get() > 0, "no case exercised {what}");
         }
