@@ -609,6 +609,7 @@ fn validate_record(
 mod tests {
     use super::*;
     use crate::spec::{Param, PointSpec};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn spec() -> CampaignSpec {
         CampaignSpec {
@@ -634,10 +635,16 @@ mod tests {
         }
     }
 
+    /// A scratch path no other test gets: the process id separates
+    /// concurrent test binaries, and a per-process counter separates tests
+    /// on parallel threads.
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("mc-exp-store-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}-{}.jsonl", std::process::id()))
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!(
+            "mc-exp-store-test-{}-{n}-{name}.jsonl",
+            std::process::id()
+        ))
     }
 
     #[test]

@@ -386,9 +386,10 @@ mod tests {
 
     #[test]
     fn real_file_round_trips_and_truncates() {
-        let dir = std::env::temp_dir().join("mc-fault-io-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("real-{}.bin", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "mc-fault-io-test-{}-real-file-round-trip.bin",
+            std::process::id()
+        ));
         let _ = std::fs::remove_file(&path);
         let file = std::fs::OpenOptions::new()
             .read(true)

@@ -412,9 +412,10 @@ mod tests {
         *cell.lock().unwrap() = "127.0.0.1:7".into();
         assert_eq!(shared.current(), Some("127.0.0.1:7".into()));
 
-        let dir = std::env::temp_dir().join("mc-serve-worker-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("addr-{}.txt", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "mc-serve-worker-test-{}-addr-sources.txt",
+            std::process::id()
+        ));
         let _ = std::fs::remove_file(&path);
         assert_eq!(AddrSource::File(path.clone()).current(), None);
         std::fs::write(&path, "127.0.0.1:5\n").unwrap();
