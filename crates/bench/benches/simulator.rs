@@ -1,5 +1,6 @@
 //! Criterion benchmark: discrete-event simulator throughput (simulated
-//! seconds per wall-clock second) across execution models and LC policies.
+//! seconds per wall-clock second) across execution models and LC policies,
+//! on a small synthetic set and on a 10³-runnable automotive set.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mc_sched::sim::{simulate, JobExecModel, LcPolicy, ModeSwitchPolicy, SimConfig};
@@ -67,6 +68,40 @@ fn bench_lc_policies(c: &mut Criterion) {
     group.finish();
 }
 
+/// A Bosch-calibrated set of 10³ runnables over one second, as one unit
+/// of the `automotive` campaign simulates it: nine period classes share
+/// the release calendar. HC budgets are cut to 60 % of `C_HI` so the
+/// fitted Weibull tails overrun them and the system escalates.
+fn bench_automotive(c: &mut Criterion) {
+    use mc_task::automotive::{generate_automotive_taskset, AutomotiveConfig};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let mut ts = generate_automotive_taskset(0.7, &AutomotiveConfig::default(), &mut rng).unwrap();
+    for t in ts.hc_tasks_mut() {
+        let c = t.c_hi().mul_f64(0.6).max(Duration::from_nanos(1));
+        t.set_c_lo(c).unwrap();
+    }
+    let mut group = c.benchmark_group("simulator_automotive_1000");
+    group.sample_size(10);
+    for (name, policy) in [
+        ("drop_all", LcPolicy::DropAll),
+        ("degrade_50", LcPolicy::Degrade(0.5)),
+    ] {
+        let cfg = SimConfig {
+            horizon: Duration::from_secs(1),
+            lc_policy: policy,
+            exec_model: JobExecModel::Profile,
+            x_factor: None,
+            release_jitter: Duration::ZERO,
+            mode_switch: ModeSwitchPolicy::System,
+            seed: 1,
+        };
+        group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
+            b.iter(|| black_box(simulate(&ts, cfg).unwrap()))
+        });
+    }
+    group.finish();
+}
+
 fn bench_multi_level(c: &mut Criterion) {
     use mc_sched::sim::{simulate_multi, MultiExecModel, MultiSimConfig};
     use mc_task::multi::{MultiTask, MultiTaskSet};
@@ -103,6 +138,7 @@ criterion_group!(
     benches,
     bench_exec_models,
     bench_lc_policies,
+    bench_automotive,
     bench_multi_level
 );
 criterion_main!(benches);
