@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Wall-clock design time is deliberately *not* a table column: the
     // table is the result payload (mirrored to CSV via CHEBYMC_CSV_DIR)
     // and must be identical run-to-run; timing is narrative metadata,
-    // reported in the summary line below.
+    // reported on stderr below so stdout stays byte-identical too.
     let mut table = Table::new([
         "U_bound",
         "policy",
@@ -98,8 +98,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "Reading the table: observed switch rates stay below the design-time\n\
          Chebyshev bound (the bound is distribution-free and loose), LC losses\n\
-         track the switch rate, and the HC-miss column is all zeros.\n\
-         Mean GA design time: {:.1} ms over {designs} designs (see BENCH_ga.json\n\
+         track the switch rate, and the HC-miss column is all zeros."
+    );
+    eprintln!(
+        "Mean GA design time: {:.1} ms over {designs} designs (see BENCH_ga.json\n\
          for the controlled serial-vs-parallel hot-path comparison).",
         design_wall / designs as f64,
     );
