@@ -2,20 +2,21 @@
 //! objective throughput for `solve_ga`-shaped runs, emitted
 //! machine-readably to `BENCH_ga.json`.
 //!
-//! Five configurations are timed on the paper-scale problem:
+//! Three configurations are timed on the paper-scale problem, all on one
+//! thread (the GA evaluates serially):
 //!
 //! * `baseline_serial` — a frozen copy of the pre-optimization GA
 //!   (clone-heavy `Vec<Vec<f64>>` population, full sort for elitism, no
-//!   memoization, serial evaluation), kept here so the perf trajectory
-//!   is measurable on any machine without checking out old commits.
-//! * `new_serial` / `new_parallel` — the closure backend with the memo
-//!   cache, pinned to one thread / on all available cores.
-//! * `incremental_serial` / `incremental_parallel` — the delta-fitness
-//!   backend over the problem's `ObjectiveCache`, which re-folds only
-//!   the blocks a child's crossover span or mutation touched.
+//!   memoization), kept here so the perf trajectory is measurable on any
+//!   machine without checking out old commits, and as an independent
+//!   bit-identity oracle for `run_ga`.
+//! * `new_serial` — the closure backend with the memo cache.
+//! * `incremental_serial` — the delta-fitness backend over the problem's
+//!   `ObjectiveCache`, which re-folds only the blocks a child's crossover
+//!   span or mutation touched.
 //!
 //! Every configuration consumes RNG draws in the same order, so all
-//! five must return bit-identical results — the run aborts if not.
+//! three must return bit-identical results — the run aborts if not.
 //!
 //! Two throughput figures are reported per run and the speedup lines
 //! quote the effective one:
@@ -26,11 +27,11 @@
 //!   second, counting memo hits, batch duplicates and carried children.
 //!   This is the number that decides how long a search takes.
 //!
-//! `CHEBYMC_GA_SCALING=smoke|full` appends a threads × population ×
-//! task-count sweep (including a generated 1 000-task set) with
-//! per-cell bit-identity flags; `off` (the default) skips it.
+//! `CHEBYMC_GA_SCALING=smoke|full` appends a population × task-count ×
+//! backend sweep (including a generated 1 000-task set); the two backends
+//! must agree bitwise in every cell. `off` (the default) skips it.
 //!
-//! After the timed (untraced) runs, two extra serial runs execute with
+//! After the timed (untraced) runs, two extra runs execute with
 //! the mc-obs sink enabled to break the wall clock down by GA stage for
 //! each backend (`stage_breakdown` in the JSON). The timed numbers are
 //! never taken with tracing on. When `CHEBYMC_TRACE` is set, the
@@ -182,7 +183,6 @@ mod baseline {
 #[derive(Serialize)]
 struct RunRecord {
     name: String,
-    threads: usize,
     wall_s: f64,
     /// Candidate evaluations the GA asked for (elites excluded).
     considered: u64,
@@ -206,7 +206,6 @@ struct ScalingCell {
     hc_tasks: usize,
     population_size: usize,
     generations: usize,
-    threads: usize,
     backend: &'static str,
     wall_s: f64,
     considered: u64,
@@ -214,13 +213,9 @@ struct ScalingCell {
     raw_evals_per_sec: f64,
     effective_evals_per_sec: f64,
     best_fitness: f64,
-    /// The cell's `GaResult` equals the 1-thread cell of the same
-    /// backend, problem and population — thread count is a pure perf
-    /// knob.
-    bit_identical_vs_t1: bool,
 }
 
-/// Where the wall clock goes inside one serial GA run per backend,
+/// Where the wall clock goes inside one GA run per backend,
 /// measured by dedicated traced runs after the timed ones.
 #[derive(Serialize)]
 struct StageBreakdown {
@@ -249,8 +244,6 @@ struct BenchReport {
     runs: Vec<RunRecord>,
     /// All speedups are ratios of *effective* evaluations per second.
     speedup_new_serial_vs_baseline: f64,
-    speedup_parallel_vs_new_serial: f64,
-    speedup_parallel_vs_baseline: f64,
     speedup_incremental_vs_new_serial: f64,
     speedup_incremental_vs_baseline: f64,
     results_bit_identical: bool,
@@ -280,11 +273,10 @@ fn time_best<F: FnMut() -> (GaResult, EvalStats)>(
     (result, stats, best_wall)
 }
 
-fn record(name: &str, threads: usize, wall: f64, stats: EvalStats, best_fitness: f64) -> RunRecord {
+fn record(name: &str, wall: f64, stats: EvalStats, best_fitness: f64) -> RunRecord {
     let raw = stats.full_evals + stats.delta_evals;
     RunRecord {
         name: name.to_string(),
-        threads,
         wall_s: wall,
         considered: stats.considered,
         raw_objective_evals: raw,
@@ -327,17 +319,10 @@ fn scaling_problems(full: bool) -> Result<Vec<WcetProblem>, Box<dyn std::error::
     Ok(problems)
 }
 
-fn run_scaling(
-    mode: &str,
-    machine_threads: usize,
-) -> Result<Vec<ScalingCell>, Box<dyn std::error::Error>> {
+fn run_scaling(mode: &str) -> Result<Vec<ScalingCell>, Box<dyn std::error::Error>> {
     let full = mode == "full";
     let (generations, repeats) = if full { (80, 5) } else { (30, 6) };
     let populations: &[usize] = if full { &[64, 256] } else { &[64] };
-    let mut threads: Vec<usize> = vec![1, 2];
-    if full && machine_threads > 2 {
-        threads.push(machine_threads);
-    }
 
     println!("\nscaling protocol ({mode}): gens {generations}, {repeats} repeat(s)");
     let mut cells = Vec::new();
@@ -345,84 +330,59 @@ fn run_scaling(
         let bounds: Vec<GeneBounds> = problem.bounds()?;
         let dim = problem.dimension();
         for &pop in populations {
-            // Reference results at one thread, one per backend; every
-            // other cell must reproduce them bitwise.
-            let mut reference: Vec<(&str, GaResult)> = Vec::new();
-            for &t in &threads {
-                let cfg = GaConfig {
+            let cfg = GaConfig {
+                population_size: pop,
+                generations,
+                ..GaConfig::default()
+            };
+            let closure = |c: &[f64]| problem.objective(c).fitness;
+            let backends: [(&'static str, Runner); 2] = [
+                (
+                    "closure_memo",
+                    Box::new(|| optimize(&bounds, closure, &cfg).unwrap()),
+                ),
+                (
+                    "incremental",
+                    Box::new(|| {
+                        optimize_incremental(problem.objective_cache(), &bounds, &cfg).unwrap()
+                    }),
+                ),
+            ];
+            let mut results = Vec::new();
+            for (backend, run) in backends {
+                let (result, stats, wall) = time_best(repeats, &run);
+                let cell = ScalingCell {
+                    hc_tasks: dim,
                     population_size: pop,
                     generations,
-                    threads: t,
-                    ..GaConfig::default()
+                    backend,
+                    wall_s: wall,
+                    considered: stats.considered,
+                    raw_objective_evals: stats.full_evals + stats.delta_evals,
+                    raw_evals_per_sec: (stats.full_evals + stats.delta_evals) as f64 / wall,
+                    effective_evals_per_sec: stats.considered as f64 / wall,
+                    best_fitness: result.best_fitness,
                 };
-                let closure = |c: &[f64]| problem.objective(c).fitness;
-                let backends: [(&'static str, Runner); 2] = [
-                    (
-                        "closure_memo",
-                        Box::new(|| optimize(&bounds, closure, &cfg).unwrap()),
-                    ),
-                    (
-                        "incremental",
-                        Box::new(|| {
-                            optimize_incremental(problem.objective_cache(), &bounds, &cfg).unwrap()
-                        }),
-                    ),
-                ];
-                for (backend, run) in backends {
-                    let (result, stats, wall) = time_best(repeats, &run);
-                    let bit_identical_vs_t1 = if t == threads[0] {
-                        reference.push((backend, result.clone()));
-                        true
-                    } else {
-                        reference
-                            .iter()
-                            .find(|(b, _)| *b == backend)
-                            .is_some_and(|(_, r)| *r == result)
-                    };
-                    let cell = ScalingCell {
-                        hc_tasks: dim,
-                        population_size: pop,
-                        generations,
-                        threads: t,
-                        backend,
-                        wall_s: wall,
-                        considered: stats.considered,
-                        raw_objective_evals: stats.full_evals + stats.delta_evals,
-                        raw_evals_per_sec: (stats.full_evals + stats.delta_evals) as f64 / wall,
-                        effective_evals_per_sec: stats.considered as f64 / wall,
-                        best_fitness: result.best_fitness,
-                        bit_identical_vs_t1,
-                    };
-                    println!(
-                        "  {dim:>5} tasks  pop {pop:>3}  t{t}  {backend:>13}: \
-                         {:>8.2} ms, {:>12.0} eff evals/s{}",
-                        wall * 1e3,
-                        cell.effective_evals_per_sec,
-                        if bit_identical_vs_t1 {
-                            ""
-                        } else {
-                            "  DIVERGED"
-                        },
-                    );
-                    cells.push(cell);
-                }
+                println!(
+                    "  {dim:>5} tasks  pop {pop:>3}  {backend:>13}: \
+                     {:>8.2} ms, {:>12.0} eff evals/s",
+                    wall * 1e3,
+                    cell.effective_evals_per_sec,
+                );
+                cells.push(cell);
+                results.push(result);
             }
-            // The two backends must agree with each other, not only with
-            // themselves across thread counts.
             assert!(
-                reference.windows(2).all(|w| w[0].1 == w[1].1),
+                results[0] == results[1],
                 "{dim}-task pop {pop}: closure and incremental backends diverged"
             );
         }
     }
-    assert!(
-        cells.iter().all(|c| c.bit_identical_vs_t1),
-        "scaling sweep found thread-count-dependent results"
-    );
     Ok(cells)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Host context for the wall clock; every run uses one thread.
     let machine_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let repeats: usize = std::env::var("CHEBYMC_GA_REPEATS")
         .ok()
@@ -458,10 +418,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut runs = Vec::new();
     let mut results: Vec<GaResult> = Vec::new();
-    let configs: Vec<(&str, usize, Runner)> = vec![
+    let configs: Vec<(&str, Runner)> = vec![
         (
             "baseline_serial",
-            1,
             Box::new(|| {
                 baseline_evals.store(0, Ordering::Relaxed);
                 let r = baseline::optimize(&bounds, counted_objective, &cfg);
@@ -478,42 +437,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         (
             "new_serial",
-            1,
-            Box::new(|| optimize(&bounds, objective, &GaConfig { threads: 1, ..cfg }).unwrap()),
-        ),
-        (
-            "new_parallel",
-            machine_threads,
-            Box::new(|| optimize(&bounds, objective, &GaConfig { threads: 0, ..cfg }).unwrap()),
+            Box::new(|| optimize(&bounds, objective, &cfg).unwrap()),
         ),
         (
             "incremental_serial",
-            1,
-            Box::new(|| {
-                optimize_incremental(
-                    problem.objective_cache(),
-                    &bounds,
-                    &GaConfig { threads: 1, ..cfg },
-                )
-                .unwrap()
-            }),
-        ),
-        (
-            "incremental_parallel",
-            machine_threads,
-            Box::new(|| {
-                optimize_incremental(
-                    problem.objective_cache(),
-                    &bounds,
-                    &GaConfig { threads: 0, ..cfg },
-                )
-                .unwrap()
-            }),
+            Box::new(|| optimize_incremental(problem.objective_cache(), &bounds, &cfg).unwrap()),
         ),
     ];
-    for (name, threads, run) in configs {
+    for (name, run) in configs {
         let (result, stats, wall) = time_best(repeats, &run);
-        let rec = record(name, threads, wall, stats, result.best_fitness);
+        let rec = record(name, wall, stats, result.best_fitness);
         println!(
             "{name:>20}: {:>7.2} ms wall, {:>5} raw / {:>5} effective evals, \
              {:>12.0} eff evals/s",
@@ -527,12 +460,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let identical = results.iter().all(|r| *r == results[0]);
-    assert!(
-        identical,
-        "GaResults diverged across implementations/thread counts"
-    );
+    assert!(identical, "GaResults diverged across implementations");
 
-    // Two extra serial runs with the trace sink on, after all timing, to
+    // Two extra runs with the trace sink on, after all timing, to
     // attribute the wall clock to GA stages per backend. CHEBYMC_TRACE
     // redirects the closure-path trace to a file (still parseable here
     // after shutdown).
@@ -543,7 +473,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(p) => mc_obs::init_file(std::path::Path::new(p))?,
             None => mc_obs::init_writer(Box::new(buf.clone()))?,
         }
-        let traced = optimize(&bounds, objective, &GaConfig { threads: 1, ..cfg });
+        let traced = optimize(&bounds, objective, &cfg);
         mc_obs::shutdown()?;
         let (traced, _) = traced?;
         assert_eq!(traced, results[0], "traced run diverged from timed runs");
@@ -560,11 +490,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inc_trace_text = {
         let buf = mc_obs::SharedBuffer::new();
         mc_obs::init_writer(Box::new(buf.clone()))?;
-        let traced = optimize_incremental(
-            problem.objective_cache(),
-            &bounds,
-            &GaConfig { threads: 1, ..cfg },
-        );
+        let traced = optimize_incremental(problem.objective_cache(), &bounds, &cfg);
         mc_obs::shutdown()?;
         let (traced, _) = traced?;
         assert_eq!(traced, results[0], "traced incremental run diverged");
@@ -587,7 +513,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         incremental_genes_evaluated: inc_trace.counter_total("ga.genes_evaluated"),
     };
     println!(
-        "\nstage breakdown (traced serial runs): closure run {:.1} ms \
+        "\nstage breakdown (traced runs): closure run {:.1} ms \
          ({} evals, {} memo hits), incremental run {:.1} ms \
          ({} deltas, {} carried, {} gene-terms folded)",
         stage_breakdown.ga_run_ns as f64 / 1e6,
@@ -602,7 +528,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scaling = if scaling_mode == "off" {
         Vec::new()
     } else {
-        run_scaling(&scaling_mode, machine_threads)?
+        run_scaling(&scaling_mode)?
     };
 
     let eff = |name: &str| {
@@ -612,15 +538,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .expect("run recorded")
     };
     let report = BenchReport {
-        schema_version: 2,
+        schema_version: 3,
         machine_threads,
         repeats,
         hc_tasks: problem.dimension(),
         population_size: cfg.population_size,
         generations: cfg.generations,
         speedup_new_serial_vs_baseline: eff("new_serial") / eff("baseline_serial"),
-        speedup_parallel_vs_new_serial: eff("new_parallel") / eff("new_serial"),
-        speedup_parallel_vs_baseline: eff("new_parallel") / eff("baseline_serial"),
         speedup_incremental_vs_new_serial: eff("incremental_serial") / eff("new_serial"),
         speedup_incremental_vs_baseline: eff("incremental_serial") / eff("baseline_serial"),
         results_bit_identical: identical,

@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let base = generate_mixed_taskset(u, &GeneratorConfig::default(), &mut rng)?;
 
             // Chebyshev-GA design, wall-clock tracked: the GA is the
-            // design-time cost the parallel hot path exists to shrink
-            // (BENCH_ga.json holds the controlled before/after numbers).
+            // design-time cost (BENCH_ga.json holds the controlled
+            // per-backend numbers).
             let mut cheb = base.clone();
             let design_start = Instant::now();
             let report = ChebyshevScheme {
@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     eprintln!(
         "Mean GA design time: {:.1} ms over {designs} designs (see BENCH_ga.json\n\
-         for the controlled serial-vs-parallel hot-path comparison).",
+         for the controlled per-backend comparison).",
         design_wall / designs as f64,
     );
     Ok(())

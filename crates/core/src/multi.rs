@@ -45,10 +45,8 @@ pub struct MultiMetrics {
 /// The multi-level Chebyshev scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MultiScheme {
-    /// GA hyper-parameters for the per-mode factor search. `ga.threads`
-    /// parallelises the fitness evaluation of a standalone design; results
-    /// are bit-identical for any thread count. No campaign runs this
-    /// search, so no unit budget overrides it.
+    /// GA hyper-parameters for the per-mode factor search. The GA
+    /// evaluates on the calling thread; `ga.threads` is ignored.
     pub ga: GaConfig,
     /// Upper cap on any factor.
     pub factor_cap: f64,

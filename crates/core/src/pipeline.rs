@@ -51,8 +51,8 @@ pub struct SetEvaluation {
 }
 
 /// Generates one HC-only task set at utilisation `u` from `seed`, applies
-/// `policy` (re-seeded to the same `seed`, inner parallelism pinned to
-/// `inner_threads`), and returns its design metrics.
+/// `policy` (re-seeded to the same `seed`), and returns its design
+/// metrics.
 ///
 /// The `fig3`, `fig4` and `fig5` campaigns average this function over
 /// `seed = derive_set_seed(campaign_seed, u_index, set)`, shared across
@@ -66,7 +66,6 @@ pub fn evaluate_policy_one_set(
     policy: &WcetPolicy,
     generator: &GeneratorConfig,
     seed: u64,
-    inner_threads: usize,
 ) -> Result<SetEvaluation, CoreError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ts = {
@@ -75,7 +74,7 @@ pub fn evaluate_policy_one_set(
     };
     {
         let _span = mc_obs::span("pipeline.assign");
-        reseed(policy, seed, inner_threads).assign(&mut ts)?;
+        reseed(policy, seed).assign(&mut ts)?;
     }
     let _span = mc_obs::span("pipeline.metrics");
     let m = design_metrics(&ts)?;
@@ -87,20 +86,15 @@ pub fn evaluate_policy_one_set(
 }
 
 /// Re-seeds a policy's internal randomness so every task set gets an
-/// independent draw, and pins the policy's inner parallelism to the
-/// caller's per-set thread budget.
-fn reseed(policy: &WcetPolicy, seed: u64, inner_threads: usize) -> WcetPolicy {
+/// independent draw.
+fn reseed(policy: &WcetPolicy, seed: u64) -> WcetPolicy {
     match policy {
         WcetPolicy::LambdaRange { lambda_min, .. } => WcetPolicy::LambdaRange {
             lambda_min: *lambda_min,
             seed,
         },
         WcetPolicy::ChebyshevGa { ga, problem } => WcetPolicy::ChebyshevGa {
-            ga: mc_opt::GaConfig {
-                seed,
-                threads: inner_threads,
-                ..*ga
-            },
+            ga: mc_opt::GaConfig { seed, ..*ga },
             problem: *problem,
         },
         other => other.clone(),
@@ -138,8 +132,7 @@ impl SchedulingApproach {
 /// per-set verdict Fig. 6 averages into an acceptance ratio. With
 /// `scheme = None` the set is tested as generated (the published
 /// approaches); with `scheme = Some(policy)` the policy (re-seeded to
-/// `seed`, inner parallelism pinned to `inner_threads`) re-derives every
-/// `C_LO` first (the "+ our scheme" variants).
+/// `seed`) re-derives every `C_LO` first (the "+ our scheme" variants).
 ///
 /// # Errors
 ///
@@ -152,7 +145,6 @@ pub fn evaluate_acceptance_one_set(
     lambda_range: (f64, f64),
     generator: &GeneratorConfig,
     seed: u64,
-    inner_threads: usize,
 ) -> Result<bool, CoreError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ts = {
@@ -162,7 +154,7 @@ pub fn evaluate_acceptance_one_set(
     };
     if let Some(policy) = scheme {
         let _span = mc_obs::span("pipeline.assign");
-        reseed(policy, seed, inner_threads).assign(&mut ts)?;
+        reseed(policy, seed).assign(&mut ts)?;
     }
     let _span = mc_obs::span("pipeline.sched_test");
     Ok(approach.schedulable(&ts))
@@ -239,9 +231,8 @@ pub fn evaluate_arena_set(
 }
 
 /// Generates one mixed task set at bound utilisation `u` from `seed`,
-/// applies the WCET-assignment `wcet` policy (re-seeded to `seed`, inner
-/// parallelism pinned to one thread — arena units are already the
-/// fan-out axis), and races `policy` on it via [`evaluate_arena_set`].
+/// applies the WCET-assignment `wcet` policy (re-seeded to `seed`), and
+/// races `policy` on it via [`evaluate_arena_set`].
 ///
 /// The `policy_arena` campaign calls this with
 /// `seed = derive_set_seed(base, u_index, replica)` — note the seed does
@@ -267,7 +258,7 @@ pub fn evaluate_arena_one_set(
     };
     {
         let _span = mc_obs::span("pipeline.assign");
-        reseed(wcet, seed, 1).assign(&mut ts)?;
+        reseed(wcet, seed).assign(&mut ts)?;
     }
     evaluate_arena_set(&ts, policy, base, seed)
 }
@@ -300,7 +291,7 @@ pub fn evaluate_arena_automotive_one_set(
     };
     {
         let _span = mc_obs::span("pipeline.assign");
-        reseed(wcet, seed, 1).assign(&mut ts)?;
+        reseed(wcet, seed).assign(&mut ts)?;
     }
     evaluate_arena_set(&ts, policy, base, seed)
 }
@@ -308,34 +299,6 @@ pub fn evaluate_arena_automotive_one_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_opt::{GaConfig, ProblemConfig};
-
-    fn fast_ga_policy() -> WcetPolicy {
-        WcetPolicy::ChebyshevGa {
-            ga: GaConfig {
-                population_size: 24,
-                generations: 20,
-                ..GaConfig::default()
-            },
-            problem: ProblemConfig::default(),
-        }
-    }
-
-    #[test]
-    fn ga_set_evaluation_is_identical_for_any_inner_thread_count() {
-        // Whatever inner budget a campaign hands a unit, the set's GA must
-        // follow the same serial RNG stream.
-        let gen = GeneratorConfig::default();
-        let seed = derive_set_seed(1, 0, 3);
-        let runs: Vec<_> = [1usize, 2, 0]
-            .iter()
-            .map(|&threads| {
-                evaluate_policy_one_set(0.6, &fast_ga_policy(), &gen, seed, threads).unwrap()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
-    }
 
     #[test]
     fn derived_seeds_are_spread_out() {
@@ -351,7 +314,7 @@ mod tests {
     fn mean_design(u: f64, policy: &WcetPolicy) -> (f64, f64) {
         let gen = GeneratorConfig::default();
         let sets: Vec<SetEvaluation> = (0..20)
-            .map(|si| evaluate_policy_one_set(u, policy, &gen, derive_set_seed(1, 0, si), 1))
+            .map(|si| evaluate_policy_one_set(u, policy, &gen, derive_set_seed(1, 0, si)))
             .collect::<Result<_, _>>()
             .unwrap();
         let mean = |f: fn(&SetEvaluation) -> f64| sets.iter().map(f).sum::<f64>() / 20.0;
@@ -379,7 +342,6 @@ mod tests {
                     (0.25, 1.0),
                     &gen,
                     derive_set_seed(1, point, si),
-                    1,
                 )
                 .unwrap()
             })
@@ -413,7 +375,6 @@ mod tests {
             SchedulingApproach::BaruahDropAll,
             (0.0, 1.0),
             &GeneratorConfig::default(),
-            1,
             1,
         )
         .unwrap_err();
@@ -520,7 +481,7 @@ mod tests {
         // the bit-identical task set the manual pipeline produces.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ts = generate_automotive_taskset(0.6, &cfg, &mut rng).unwrap();
-        reseed(&wcet, seed, 1).assign(&mut ts).unwrap();
+        reseed(&wcet, seed).assign(&mut ts).unwrap();
         let manual = evaluate_arena_set(&ts, &PolicySpec::EdfVdDropAll, &base, seed).unwrap();
         assert_eq!(drop, manual, "one-set wrapper diverged from composition");
         assert!((0.0..=1.0).contains(&drop.lc_qos));

@@ -31,10 +31,8 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ChebyshevScheme {
-    /// GA hyper-parameters (paper §V defaults). `ga.threads` controls the
-    /// fitness-evaluation parallelism of a standalone design; the per-set
-    /// functions in [`crate::pipeline`] override it with the inner budget
-    /// `mc_exp::run_units` hands each campaign unit.
+    /// GA hyper-parameters (paper §V defaults). The GA evaluates on the
+    /// calling thread; `ga.threads` is ignored.
     pub ga: GaConfig,
     /// Factor search-space configuration.
     pub problem: ProblemConfig,

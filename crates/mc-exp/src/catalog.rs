@@ -192,14 +192,14 @@ struct PolicySweep<P, F> {
     /// `false` draws every utilisation's sets from seed point 0 instead of
     /// `u_index` (`fig3_optimum`'s legacy stream).
     seed_per_u: bool,
-    /// Evaluates one set: `(policy, u, evaluation seed, inner threads)`.
+    /// Evaluates one set: `(policy, u, evaluation seed)`.
     eval: F,
 }
 
 impl<P, F> PolicySweep<P, F>
 where
     P: Send + Sync + 'static,
-    F: Fn(&P, f64, u64, usize) -> Result<Vec<Metric>, ExpError> + Send + Sync + 'static,
+    F: Fn(&P, f64, u64) -> Result<Vec<Metric>, ExpError> + Send + Sync + 'static,
 {
     /// Wraps the sweep as campaign `name`, with points labelled
     /// `<label(policy)>/u<u>` and `params` entering the fingerprint.
@@ -241,15 +241,15 @@ where
 impl<P, F> UnitRunner for PolicySweep<P, F>
 where
     P: Sync,
-    F: Fn(&P, f64, u64, usize) -> Result<Vec<Metric>, ExpError> + Sync,
+    F: Fn(&P, f64, u64) -> Result<Vec<Metric>, ExpError> + Sync,
 {
-    fn run_unit(&self, unit: &WorkUnit, inner_threads: usize) -> Result<Vec<Metric>, ExpError> {
+    fn run_unit(&self, unit: &WorkUnit, _inner_threads: usize) -> Result<Vec<Metric>, ExpError> {
         let u_count = self.u_values.len();
         let policy = &self.policies[unit.point / u_count];
         let u_index = unit.point % u_count;
         let seed_point = if self.seed_per_u { u_index } else { 0 };
         let eval_seed = derive_set_seed(self.seed, seed_point, unit.replica);
-        (self.eval)(policy, self.u_values[u_index], eval_seed, inner_threads)
+        (self.eval)(policy, self.u_values[u_index], eval_seed)
     }
 }
 
@@ -261,13 +261,8 @@ fn paper_u_axis(opts: &CatalogOptions) -> Vec<f64> {
 }
 
 /// Design metrics of one HC-only set under a WCET policy (Figs. 3–5).
-fn design_eval(
-    policy: &WcetPolicy,
-    u: f64,
-    seed: u64,
-    inner_threads: usize,
-) -> Result<Vec<Metric>, ExpError> {
-    let e = evaluate_policy_one_set(u, policy, &GeneratorConfig::default(), seed, inner_threads)?;
+fn design_eval(policy: &WcetPolicy, u: f64, seed: u64) -> Result<Vec<Metric>, ExpError> {
+    let e = evaluate_policy_one_set(u, policy, &GeneratorConfig::default(), seed)?;
     Ok(vec![
         Metric::new("p_ms", e.p_ms),
         Metric::new("max_u_lc_lo", e.max_u_lc_lo),
@@ -432,7 +427,6 @@ fn acceptance_eval(
     variant: &Fig6Variant,
     u_bound: f64,
     seed: u64,
-    inner_threads: usize,
 ) -> Result<Vec<Metric>, ExpError> {
     let accepted = evaluate_acceptance_one_set(
         u_bound,
@@ -441,7 +435,6 @@ fn acceptance_eval(
         FIG6_LAMBDA_RANGE,
         &GeneratorConfig::default(),
         seed,
-        inner_threads,
     )?;
     Ok(vec![Metric::new(
         "accepted",
@@ -655,7 +648,7 @@ fn policy_arena(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
             .unwrap_or_else(|| vec![0.6, 0.8, 1.0, 1.1, 1.2, 1.3]),
         seed: opts.seed.unwrap_or(11),
         seed_per_u: true,
-        eval: |policy: &PolicySpec, u: f64, seed: u64, _inner: usize| {
+        eval: |policy: &PolicySpec, u: f64, seed: u64| {
             let base = SimConfig::new(Duration::from_secs(ARENA_HORIZON_SECS));
             let gen = GeneratorConfig::default();
             let e = evaluate_arena_one_set(u, &arena_wcet(), policy, &gen, seed, &base)?;
@@ -709,7 +702,7 @@ fn automotive(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
         u_values: opts.points.clone().unwrap_or_else(|| vec![0.5, 0.7, 0.9]),
         seed: opts.seed.unwrap_or(17),
         seed_per_u: true,
-        eval: move |policy: &PolicySpec, u: f64, seed: u64, _inner: usize| {
+        eval: move |policy: &PolicySpec, u: f64, seed: u64| {
             let base = SimConfig::new(Duration::from_secs(AUTOMOTIVE_HORIZON_SECS));
             let e =
                 evaluate_arena_automotive_one_set(u, &arena_wcet(), policy, &config, seed, &base)?;
@@ -853,7 +846,6 @@ mod tests {
             &WcetPolicy::Acet,
             &GeneratorConfig::default(),
             derive_set_seed(5, 0, 1),
-            1,
         )
         .unwrap();
         assert_eq!(metrics[2].name, "objective");
@@ -906,7 +898,7 @@ mod tests {
         let expected = |n: f64, u: f64, point: usize, set: usize| {
             let policy = WcetPolicy::ChebyshevUniform { n };
             let seed = derive_set_seed(3, point, set);
-            let e = evaluate_policy_one_set(u, &policy, &GeneratorConfig::default(), seed, 1);
+            let e = evaluate_policy_one_set(u, &policy, &GeneratorConfig::default(), seed);
             e.unwrap().objective.to_bits()
         };
         // fig3: n = 5 (policy 1) at u = 0.7 (u index 1), replica 2 →
@@ -941,7 +933,6 @@ mod tests {
             (0.25, 1.0),
             &GeneratorConfig::default(),
             derive_set_seed(6, 0, 2),
-            1,
         )
         .unwrap();
         assert_eq!(

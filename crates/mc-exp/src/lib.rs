@@ -17,11 +17,11 @@
 //!   are already done.
 //! * [`run`] — the campaign runner: lints the spec (`E0xx`), filters the
 //!   shard's pending units and hands them to [`run_units`], the one unit
-//!   dispatcher (shared with the mc-serve worker). It owns the thread
-//!   budget: units fan out over one pool and each unit gets the rest of
-//!   the budget for its inner parallelism. Records reach the store *in
-//!   session order*, so an uninterrupted store is byte-identical across
-//!   thread counts.
+//!   dispatcher (shared with the mc-serve worker). Units are the
+//!   workspace's one parallel layer: they fan out over `threads` lanes
+//!   and each runs serially inside. Records reach the store *in session
+//!   order*, so an uninterrupted store is byte-identical across thread
+//!   counts.
 //! * [`fault`] — deterministic crash-schedule sweeps: the store driven
 //!   through seed-derived crash/resume/merge interleavings on a simulated
 //!   disk (`mc_fault::SimDisk`), asserting the crash invariant and

@@ -72,8 +72,8 @@ impl std::fmt::Display for Shard {
 /// Run-time knobs of one campaign session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunConfig {
-    /// Total thread budget (`0` = all available cores), split between the
-    /// unit fan-out and each unit's inner parallelism.
+    /// Threads the units fan out over (`0` = all available cores). Each
+    /// unit runs serially.
     pub threads: usize,
     /// This process's shard.
     pub shard: Shard,
@@ -86,8 +86,10 @@ pub struct RunConfig {
 /// order, and a resumed or sharded campaign must reproduce the same
 /// record bit-for-bit.
 pub trait UnitRunner: Sync {
-    /// Runs the unit within `inner_threads` threads of inner parallelism
-    /// and returns its metrics.
+    /// Runs the unit and returns its metrics. `inner_threads` is always
+    /// 1, because units are the only parallel layer; the argument stays
+    /// only while the `perfbench/` campaign benchmark, built outside this
+    /// workspace, implements the trait with it.
     ///
     /// # Errors
     ///
@@ -120,7 +122,7 @@ pub struct RunSummary {
 }
 
 /// Runs (this shard of) a campaign: lints the spec, skips units the store
-/// already holds, computes the rest on a worker pool, and persists each
+/// already holds, computes the rest over [`run_units`], and persists each
 /// record with an fsync before counting it done.
 ///
 /// Records are appended *in session order* (see [`run_units`]), so an
@@ -203,22 +205,27 @@ pub fn run_campaign(
     })
 }
 
-/// Runs `units` on one worker pool and hands their records to `deliver`
-/// in unit order — the one place a thread budget is split across work
-/// units ([`run_campaign`] and the mc-serve worker both dispatch here).
+/// Runs `units` over `threads` lanes (`0` = all available cores) and
+/// hands their records to `deliver` in unit order — the one place work
+/// units fan out ([`run_campaign`] and the mc-serve worker both dispatch
+/// here). Each unit runs serially inside, under a `span` of that name, and
+/// gets `inner_threads = 1`.
 ///
-/// `threads` is split by [`mc_par::ThreadBudget::split`] between the
-/// fan-out over units and each unit's inner parallelism. Each unit runs
-/// under a `span` of that name. Out-of-order completions park in a buffer
-/// until their predecessors are delivered, and `deliver` is only ever
-/// called under one lock, so it sees records strictly in the order of
-/// `units`. Returning `false` from `deliver` stops the dispatch: no later
-/// record is delivered and unclaimed units are skipped.
+/// Out-of-order completions park in a buffer until their predecessors
+/// are delivered, and `deliver` is only ever called under one lock, so it
+/// sees records strictly in the order of `units`. Returning `false` from
+/// `deliver` stops the dispatch: no later record is delivered and
+/// unclaimed units are skipped.
 ///
 /// # Errors
 ///
 /// The first runner error. It stops the dispatch too; records of the
 /// units before the failed one are still delivered.
+///
+/// # Panics
+///
+/// A panicking unit stops the dispatch the same way, and the panic is
+/// re-raised here once every lane has stopped.
 pub fn run_units<D>(
     units: &[WorkUnit],
     runner: &dyn UnitRunner,
@@ -229,9 +236,6 @@ pub fn run_units<D>(
 where
     D: FnMut(UnitRecord) -> bool + Send,
 {
-    let (outer, inner) = mc_par::ThreadBudget::explicit(threads).split(units.len());
-    let inner_threads = inner.get();
-    let pool = mc_par::WorkerPool::new(outer);
     let order = Mutex::new(InOrder {
         deliver,
         next: 0,
@@ -240,10 +244,10 @@ where
         error: None,
     });
 
-    pool.for_each_while(units.len(), |pos| {
+    mc_par::for_each_while(threads, units.len(), |pos| {
         let unit = units[pos];
         let _unit_span = mc_obs::span(span);
-        let outcome = runner.run_unit(&unit, inner_threads);
+        let outcome = runner.run_unit(&unit, 1);
         let mut order = order.lock().expect("dispatch state poisoned");
         match outcome {
             Ok(metrics) => order.complete(
@@ -510,6 +514,32 @@ mod tests {
             })
             .unwrap();
             assert_eq!(seen, vec![0, 1, 2, 3, 4], "{threads} threads: refused at 4");
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_reaches_the_caller_after_its_predecessors() {
+        let s = spec(1, 8);
+        let units: Vec<WorkUnit> = (0..s.total_units()).map(|i| s.unit(i)).collect();
+        let panicking = |unit: &WorkUnit, inner: usize| {
+            assert!(unit.index != 3, "unit {} panicked", unit.index);
+            seed_runner(unit, inner)
+        };
+        for threads in [1, 2, 4] {
+            let mut seen = Vec::new();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_units(&units, &panicking, threads, "exp.unit", |r| {
+                    seen.push(r.unit);
+                    true
+                })
+            }));
+            let payload = result.expect_err("the panic propagates");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("unit 3 panicked"),
+                "{threads} threads"
+            );
+            assert_eq!(seen, vec![0, 1, 2], "{threads} threads");
         }
     }
 

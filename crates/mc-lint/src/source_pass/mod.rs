@@ -15,9 +15,8 @@
 //! ([`scanner`]), applies the lexical rules ([`rules`]), and suppresses
 //! findings covered by the checked-in `lint.toml` policy
 //! ([`allowlist`]) — reporting any allowlist entry that suppressed
-//! nothing as stale (`U005`). Scanning parallelises over files with the
-//! deterministic mc-par pool; findings are merged in sorted-path order,
-//! so the report is byte-identical for every thread count.
+//! nothing as stale (`U005`). Files are scanned one by one in sorted-path
+//! order, so the report is byte-identical on every run.
 
 pub mod allowlist;
 pub mod rules;
@@ -27,7 +26,6 @@ pub use allowlist::{AllowEntry, Allowlist};
 pub use scanner::ScannedFile;
 
 use crate::diag::{Code, Diagnostic, LintReport};
-use mc_par::{ThreadBudget, WorkerPool};
 use std::path::{Path, PathBuf};
 
 /// The result of auditing a workspace's sources.
@@ -78,35 +76,20 @@ pub fn collect_workspace_files(root: &Path) -> Result<Vec<String>, String> {
     Ok(rels)
 }
 
-/// Audits the workspace rooted at `root` under `allow`, scanning files
-/// on `threads` workers (`0` = all available cores). The report is
-/// byte-identical for every thread count.
+/// Audits the workspace rooted at `root` under `allow`, scanning files in
+/// sorted-path order.
 ///
 /// # Errors
 ///
 /// Returns a message for unreadable directories or files.
-pub fn lint_workspace_sources(
-    root: &Path,
-    allow: &Allowlist,
-    threads: usize,
-) -> Result<SourceAudit, String> {
+pub fn lint_workspace_sources(root: &Path, allow: &Allowlist) -> Result<SourceAudit, String> {
     let rels = collect_workspace_files(root)?;
-    let pool = WorkerPool::with_budget(ThreadBudget::explicit(threads));
-
-    // Scan in parallel, merge in path order: slot i belongs to rels[i].
-    let mut slots: Vec<Result<rules::FileFindings, String>> = Vec::new();
-    slots.resize_with(rels.len(), || Err(String::new()));
-    pool.fill(&mut slots, |i| {
-        let rel = &rels[i];
-        let source = std::fs::read_to_string(root.join(rel))
-            .map_err(|e| format!("cannot read `{rel}`: {e}"))?;
-        Ok(rules::lint_file(&ScannedFile::scan(rel, &source), allow))
-    });
-
     let mut report = LintReport::new();
     let mut suppressed = vec![0usize; allow.entries().len()];
-    for slot in slots {
-        let findings = slot?;
+    for rel in &rels {
+        let source = std::fs::read_to_string(root.join(rel))
+            .map_err(|e| format!("cannot read `{rel}`: {e}"))?;
+        let findings = rules::lint_file(&ScannedFile::scan(rel, &source), allow);
         for d in findings.diagnostics {
             report.push(d);
         }
@@ -205,20 +188,20 @@ mod tests {
             "[[allow]]\npath = \"crates/demo/src/gone.rs\"\ncodes = [\"D001\"]\nreason = \"r\"\n",
         )
         .unwrap();
-        let audit = lint_workspace_sources(&dir, &allow, 1).expect("audit runs");
+        let audit = lint_workspace_sources(&dir, &allow).expect("audit runs");
         assert_eq!(audit.files_scanned, 1);
         assert_eq!(audit.report.codes(), vec![Code::U003, Code::U005]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn thread_counts_do_not_change_the_report() {
+    fn two_runs_give_the_same_report() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let one = lint_workspace_sources(root, &Allowlist::empty(), 1).expect("serial audit");
-        let four = lint_workspace_sources(root, &Allowlist::empty(), 4).expect("parallel audit");
+        let one = lint_workspace_sources(root, &Allowlist::empty()).expect("first audit");
+        let two = lint_workspace_sources(root, &Allowlist::empty()).expect("second audit");
         assert_eq!(
             one.report.render_json().expect("render"),
-            four.report.render_json().expect("render"),
+            two.report.render_json().expect("render"),
         );
         assert!(one.files_scanned >= 8, "mc-lint's own sources are scanned");
     }

@@ -18,7 +18,7 @@
 //! # Thread safety
 //!
 //! Events land in per-thread buffers (registered in a global registry on
-//! first use), so worker threads from `mc-par` record without contending
+//! first use), so the unit lanes of `mc-par` record without contending
 //! on a shared lock. Buffers drain through a single writer — on
 //! [`flush`], on [`shutdown`], or when a thread's buffer crosses an
 //! internal threshold — so emitted lines never interleave. Per-thread
@@ -409,7 +409,7 @@ fn with_local(f: impl FnOnce(&mut ThreadEvents)) {
 
 /// RAII span guard: measures from [`span`] to drop and records one
 /// `span` event on the calling thread. Safe to create on any thread,
-/// including `mc-par` workers. If tracing is disabled when the guard is
+/// including `mc-par` lanes. If tracing is disabled when the guard is
 /// created — or shut down before it drops — nothing is recorded.
 #[must_use = "a span measures until dropped; binding it to `_` ends it immediately"]
 pub struct Scope {

@@ -8,7 +8,7 @@
 //!
 //! # Hot-path architecture
 //!
-//! The inner loop is allocation-free and parallel:
+//! The inner loop is allocation-free and serial:
 //!
 //! * The population lives in one flat strided
 //!   [`FlatPopulation`](crate::incremental::FlatPopulation) (individual
@@ -17,28 +17,24 @@
 //!   buffer and the buffers swap, so no per-individual `Vec` is ever
 //!   cloned.
 //! * Fitness evaluation goes through a pluggable backend. The generic
-//!   closure backend memoises genome → fitness and fans misses out over
-//!   the run's [`mc_par::WorkerPool`] (`F: Sync`). The incremental backend
+//!   closure backend memoises genome → fitness and evaluates each unique
+//!   miss once per generation. The incremental backend
 //!   (see [`crate::incremental`]) instead tracks each child's
 //!   *provenance* — parent, crossover span, mutated gene — and patches
 //!   the parent's cached partial reductions, or carries the parent's
 //!   score outright when the variation was a bitwise no-op.
-//! * All randomness stays confined to the serial variation phase, so
-//!   results are **bit-identical for any thread count**
-//!   ([`GaConfig::threads`]), and identical across backends (a backend
-//!   changes evaluation cost, never values).
-//! * When a generation's evaluation work (`pending genomes × genes`)
-//!   falls below [`SERIAL_EVAL_THRESHOLD`], dispatch stays on the calling
-//!   thread even on a multi-thread pool — paper-scale problems are far
-//!   cheaper than a wake/park cycle.
+//! * Results are identical across backends: a backend changes
+//!   evaluation cost, never values.
+//! * Evaluation runs on the calling thread. A paper-scale generation
+//!   (64 genomes × 6 genes) costs microseconds, less than waking a
+//!   thread, so campaigns parallelise over work units instead
+//!   (`mc_exp::run_units`).
 
 use crate::incremental::{Block, FlatPopulation, ObjectiveCache};
 use crate::OptError;
-use mc_par::{DisjointSlice, ThreadBudget, WorkerPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Inclusive bounds for one gene.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -94,22 +90,12 @@ pub struct GaConfig {
     pub elitism: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for fitness evaluation: `0` = all available cores,
-    /// `1` = serial. A pure performance knob — results are bit-identical
-    /// for any value because the RNG never leaves the serial variation
-    /// phase. Campaign units get the inner budget `mc_exp::run_units`
-    /// leaves them (usually 1), so the unit fan-out and the GA never
-    /// oversubscribe the machine.
+    /// Ignored: the GA always evaluates on the calling thread. The field
+    /// still deserializes so older configs load, and stays only because
+    /// the `perfbench/` campaign benchmark sets it.
     #[serde(default)]
     pub threads: usize,
 }
-
-/// Per-generation evaluation work (`pending genomes × genes`) below which
-/// both backends stay on the calling thread even on a multi-thread pool,
-/// because the work is cheaper than waking the workers. Comfortably above
-/// a paper-scale generation (64 × 6 = 384). Results are bit-identical
-/// either side of it.
-pub const SERIAL_EVAL_THRESHOLD: usize = 8192;
 
 impl Default for GaConfig {
     fn default() -> Self {
@@ -257,15 +243,14 @@ pub(crate) struct PrevGen<'a> {
 
 /// One generation's fitness evaluation. Implementations must be pure in
 /// the genomes: `scores[i]` may depend only on genome `i` (and, through
-/// carried scores, on bitwise-identical ancestors), never on thread
-/// count or evaluation order.
+/// carried scores, on bitwise-identical ancestors), never on evaluation
+/// order.
 pub(crate) trait EvalBackend {
     /// Writes `scores[i]` for every `i ≥ skip` (slots below `skip` hold
     /// carried-over elite scores). `prev` is `None` for the initial
     /// population and the previous generation afterwards.
     fn evaluate(
         &mut self,
-        pool: &WorkerPool,
         pop: &FlatPopulation,
         prev: Option<PrevGen<'_>>,
         scores: &mut [f64],
@@ -305,14 +290,13 @@ pub fn optimize<F>(
     cfg: &GaConfig,
 ) -> Result<(GaResult, EvalStats), OptError>
 where
-    F: Fn(&[f64]) -> f64 + Sync,
+    F: Fn(&[f64]) -> f64,
 {
     cfg.validate()?;
     if bounds.is_empty() {
         return Err(OptError::EmptyChromosome);
     }
-    let pool = WorkerPool::with_budget(ThreadBudget::explicit(cfg.threads));
-    run_ga(bounds, cfg, &pool, &mut ClosureBackend::new(&fitness))
+    run_ga(bounds, cfg, &mut ClosureBackend::new(&fitness))
 }
 
 /// The GA loop shared by every backend: selection, variation, elitism and
@@ -320,7 +304,6 @@ where
 pub(crate) fn run_ga<B: EvalBackend>(
     bounds: &[GeneBounds],
     cfg: &GaConfig,
-    pool: &WorkerPool,
     backend: &mut B,
 ) -> Result<(GaResult, EvalStats), OptError> {
     cfg.validate()?;
@@ -355,7 +338,7 @@ pub(crate) fn run_ga<B: EvalBackend>(
     }
     stats.considered += pop_n as u64;
     stats.genes_total += (pop_n * genes) as u64;
-    backend.evaluate(pool, &pop, None, &mut scores, 0, &mut stats);
+    backend.evaluate(&pop, None, &mut scores, 0, &mut stats);
 
     let mut best = pop.genome(0).to_vec();
     let mut best_fitness = scores[0];
@@ -454,7 +437,6 @@ pub(crate) fn run_ga<B: EvalBackend>(
         stats.considered += (pop_n - elites) as u64;
         stats.genes_total += ((pop_n - elites) * genes) as u64;
         backend.evaluate(
-            pool,
             &pop,
             Some(PrevGen {
                 pop: &next,
@@ -655,8 +637,6 @@ struct ClosureBackend<'f, F> {
     /// Their genome hashes, kept so the post-evaluation memo insert
     /// does not hash a second time.
     pending_hashes: Vec<u64>,
-    /// Their freshly computed scores, filled in parallel.
-    pending_scores: Vec<f64>,
     /// Within-batch duplicates: `(individual, pending slot to copy)`.
     dups: Vec<(usize, usize)>,
 }
@@ -669,7 +649,6 @@ impl<'f, F> ClosureBackend<'f, F> {
             batch: GenomeTable::new(),
             pending: Vec::new(),
             pending_hashes: Vec::new(),
-            pending_scores: Vec::new(),
             dups: Vec::new(),
         }
     }
@@ -677,14 +656,13 @@ impl<'f, F> ClosureBackend<'f, F> {
 
 impl<F> EvalBackend for ClosureBackend<'_, F>
 where
-    F: Fn(&[f64]) -> f64 + Sync,
+    F: Fn(&[f64]) -> f64,
 {
-    /// Memo hits are served serially; unique misses fan out over `pool`
-    /// (or stay on the calling thread below the serial threshold). Each
-    /// genome is hashed exactly once per call.
+    /// Memo hits and batch duplicates are looked up before any miss is
+    /// evaluated, then each unique miss is evaluated once. Each genome is
+    /// hashed exactly once per call.
     fn evaluate(
         &mut self,
-        pool: &WorkerPool,
         pop: &FlatPopulation,
         _prev: Option<PrevGen<'_>>,
         scores: &mut [f64],
@@ -693,7 +671,6 @@ where
     ) {
         let _batch_span = mc_obs::span("ga.fitness_batch");
         let genes = pop.genes();
-        let flat = pop.as_slice();
         self.pending.clear();
         self.pending_hashes.clear();
         self.dups.clear();
@@ -723,34 +700,16 @@ where
             mc_obs::counter("ga.memo_hits", considered - misses - dups);
             mc_obs::counter("ga.batch_dups", dups);
         }
-        self.pending_scores.resize(self.pending.len(), 0.0);
-        let pending = &self.pending;
-        let fitness = self.fitness;
-        let score_of = |j: usize| {
-            let i = pending[j];
-            sanitize(fitness(&flat[i * genes..(i + 1) * genes]))
-        };
-        if pending.len() * genes < SERIAL_EVAL_THRESHOLD {
-            for (j, slot) in self.pending_scores.iter_mut().enumerate() {
-                *slot = score_of(j);
-            }
-        } else {
-            pool.fill(&mut self.pending_scores, score_of);
-        }
         if self.memo.len() + self.pending.len() >= MEMO_CAPACITY {
             self.memo.clear();
         }
-        for ((&i, &hash), &s) in self
-            .pending
-            .iter()
-            .zip(&self.pending_hashes)
-            .zip(&self.pending_scores)
-        {
+        for (&i, &hash) in self.pending.iter().zip(&self.pending_hashes) {
+            let s = sanitize((self.fitness)(pop.genome(i)));
             scores[i] = s;
             self.memo.insert(hash, pop.genome(i), s);
         }
         for &(i, slot) in &self.dups {
-            scores[i] = self.pending_scores[slot];
+            scores[i] = scores[self.pending[slot]];
         }
     }
 }
@@ -783,7 +742,6 @@ impl<'c> IncrementalBackend<'c> {
 impl EvalBackend for IncrementalBackend<'_> {
     fn evaluate(
         &mut self,
-        pool: &WorkerPool,
         pop: &FlatPopulation,
         prev: Option<PrevGen<'_>>,
         scores: &mut [f64],
@@ -794,30 +752,14 @@ impl EvalBackend for IncrementalBackend<'_> {
         let nb = self.cache.n_blocks();
         let n = scores.len();
         let genes = pop.genes();
-        let serial = |work: usize| work < SERIAL_EVAL_THRESHOLD;
         let Some(pg) = prev else {
             // Initial population: full evaluation, partials materialised.
             self.cur.clear();
             self.cur.resize(n * nb, Block::default());
             self.prev.clear();
             self.prev.resize(n * nb, Block::default());
-            let cache = self.cache;
-            if serial(n * genes) || pool.threads() == 1 {
-                for (i, row) in self.cur.chunks_exact_mut(nb).enumerate() {
-                    scores[i] = cache.eval_full(pop.genome(i), row).fitness;
-                }
-            } else {
-                let rows = DisjointSlice::new(&mut self.cur);
-                let slots = DisjointSlice::new(scores);
-                let (rows, slots) = (&rows, &slots);
-                pool.for_each(n, |i| {
-                    // SAFETY: per-index rows are pairwise disjoint and the
-                    // pool claims each index exactly once.
-                    let row = unsafe { rows.slice_mut(i * nb, nb) };
-                    let value = cache.eval_full(pop.genome(i), row);
-                    // SAFETY: sole writer of slot `i` (same claim).
-                    unsafe { slots.write(i, value.fitness) };
-                });
+            for (i, row) in self.cur.chunks_exact_mut(nb).enumerate() {
+                scores[i] = self.cache.eval_full(pop.genome(i), row).fitness;
             }
             stats.full_evals += n as u64;
             stats.genes_evaluated += (n * genes) as u64;
@@ -832,7 +774,6 @@ impl EvalBackend for IncrementalBackend<'_> {
         // generation was scored); swap so they become the delta source and
         // this generation's rows overwrite the older scratch buffer.
         std::mem::swap(&mut self.cur, &mut self.prev);
-        let cache = self.cache;
         let (cur, prev_rows) = (&mut self.cur, &self.prev);
         // Elites first: their rows copy over with their carried scores.
         for slot in 0..skip {
@@ -843,70 +784,28 @@ impl EvalBackend for IncrementalBackend<'_> {
         let mut delta = 0u64;
         let mut carried = 0u64;
         let mut genes_re = 0u64;
-        if serial((n - skip) * genes) || pool.threads() == 1 {
-            for i in skip..n {
-                let pv = pg.prov[i];
-                let parent = pv.parent();
-                let d = cache.eval_delta(
-                    pop.genome(i),
-                    pg.pop.genome(parent),
-                    &prev_rows[parent * nb..(parent + 1) * nb],
-                    &mut cur[i * nb..(i + 1) * nb],
-                    pv.crossover(),
-                    pv.mutation(),
-                );
-                match d.value {
-                    Some(v) => {
-                        scores[i] = v.fitness;
-                        delta += 1;
-                        genes_re += u64::from(d.genes_recomputed);
-                    }
-                    None => {
-                        scores[i] = pg.scores[parent];
-                        carried += 1;
-                    }
+        for i in skip..n {
+            let pv = pg.prov[i];
+            let parent = pv.parent();
+            let d = self.cache.eval_delta(
+                pop.genome(i),
+                pg.pop.genome(parent),
+                &prev_rows[parent * nb..(parent + 1) * nb],
+                &mut cur[i * nb..(i + 1) * nb],
+                pv.crossover(),
+                pv.mutation(),
+            );
+            match d.value {
+                Some(v) => {
+                    scores[i] = v.fitness;
+                    delta += 1;
+                    genes_re += u64::from(d.genes_recomputed);
+                }
+                None => {
+                    scores[i] = pg.scores[parent];
+                    carried += 1;
                 }
             }
-        } else {
-            let delta_ct = AtomicU64::new(0);
-            let carried_ct = AtomicU64::new(0);
-            let genes_ct = AtomicU64::new(0);
-            let rows = DisjointSlice::new(cur);
-            let slots = DisjointSlice::new(scores);
-            let (rows, slots) = (&rows, &slots);
-            pool.for_each(n - skip, |j| {
-                let i = skip + j;
-                let pv = pg.prov[i];
-                let parent = pv.parent();
-                // SAFETY: the pool claims each index exactly once and
-                // per-index rows are pairwise disjoint (elite rows below
-                // `skip` are never indexed here).
-                let row = unsafe { rows.slice_mut(i * nb, nb) };
-                let d = cache.eval_delta(
-                    pop.genome(i),
-                    pg.pop.genome(parent),
-                    &prev_rows[parent * nb..(parent + 1) * nb],
-                    row,
-                    pv.crossover(),
-                    pv.mutation(),
-                );
-                match d.value {
-                    Some(v) => {
-                        // SAFETY: sole writer of slot `i` (same claim).
-                        unsafe { slots.write(i, v.fitness) };
-                        delta_ct.fetch_add(1, Ordering::Relaxed);
-                        genes_ct.fetch_add(u64::from(d.genes_recomputed), Ordering::Relaxed);
-                    }
-                    None => {
-                        // SAFETY: sole writer of slot `i` (same claim).
-                        unsafe { slots.write(i, pg.scores[parent]) };
-                        carried_ct.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-            delta = delta_ct.into_inner();
-            carried = carried_ct.into_inner();
-            genes_re = genes_ct.into_inner();
         }
         stats.delta_evals += delta;
         stats.carried += carried;
@@ -1011,10 +910,17 @@ mod tests {
         let bare = r#"{"population_size":64,"generations":80,"crossover_probability":0.8,
                 "mutation_probability":0.2,"tournament_size":5,"elitism":2,"seed":0"#;
         let cfg: GaConfig = serde_json::from_str(&format!("{bare}}}")).unwrap();
-        assert_eq!(cfg.threads, 0);
+        assert_eq!(cfg, GaConfig::default());
         let retired: GaConfig =
-            serde_json::from_str(&format!(r#"{bare},"threads":1,"retired_knob":true}}"#)).unwrap();
-        assert_eq!(retired, GaConfig { threads: 1, ..cfg });
+            serde_json::from_str(&format!(r#"{bare},"threads":4,"retired_knob":true}}"#)).unwrap();
+        assert_eq!(retired.threads, 4);
+        // `threads` is ignored: a config that sets it runs the same GA.
+        let bounds = [GeneBounds::new(0.0, 1.0).unwrap(); 3];
+        let f = |c: &[f64]| c.iter().sum::<f64>();
+        assert_eq!(
+            optimize(&bounds, f, &retired).unwrap().0,
+            optimize(&bounds, f, &cfg).unwrap().0
+        );
     }
 
     #[test]
@@ -1103,7 +1009,6 @@ mod tests {
         let cfg = GaConfig {
             generations: 15,
             population_size: 24,
-            threads: 1,
             ..GaConfig::default()
         };
         let (_, stats) = optimize(&bounds, f, &cfg).unwrap();

@@ -13,7 +13,7 @@
 //!   the block partials fold left-to-right into the final value. Float
 //!   addition is not associative, so blocking is a *reassociation* — the
 //!   blocked order is therefore the definition, used identically by every
-//!   path (scalar, batch, delta, any thread count), and all paths agree
+//!   path (scalar, batch, delta), and all paths agree
 //!   bitwise. For ≤ 16 genes — a full paper-scale problem — one block
 //!   covers the genome and the blocked order coincides bitwise with the
 //!   plain left-to-right loop the objective historically used (`0.0 + x`
@@ -35,7 +35,6 @@
 use crate::ga::{run_ga, EvalStats, GaConfig, GaResult, GeneBounds, IncrementalBackend};
 use crate::problem::{HcTaskParams, ObjectiveValue};
 use crate::OptError;
-use mc_par::{ThreadBudget, WorkerPool};
 use mc_sched::analysis::edf_vd;
 use mc_stats::chebyshev;
 
@@ -84,8 +83,7 @@ pub struct DeltaEval {
 
 /// A population of genomes in flat strided (struct-of-arrays) layout:
 /// individual `i` occupies `[i·genes, (i+1)·genes)` of one contiguous
-/// buffer, so batch evaluation walks memory sequentially and per-row
-/// parallel writes never alias.
+/// buffer, so batch evaluation walks memory sequentially.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatPopulation {
     data: Vec<f64>,
@@ -477,8 +475,7 @@ pub fn optimize_incremental(
             got: bounds.len(),
         });
     }
-    let pool = WorkerPool::with_budget(ThreadBudget::explicit(cfg.threads));
-    run_ga(bounds, cfg, &pool, &mut IncrementalBackend::new(cache))
+    run_ga(bounds, cfg, &mut IncrementalBackend::new(cache))
 }
 
 #[cfg(test)]

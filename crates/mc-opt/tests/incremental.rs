@@ -1,11 +1,10 @@
-//! The incremental evaluation engine's external contract: delta-fitness,
-//! the memo cache, the auto-serial fallback and the thread count are all
-//! *pure performance knobs* — no combination may change one bit of any
-//! objective value or GA result. These tests drive
+//! The incremental evaluation engine's external contract: delta-fitness
+//! and the memo cache are *pure performance knobs* — neither may change
+//! one bit of any objective value or GA result. These tests drive
 //! the engine the way the GA does (random variation sequences over random
 //! task sets) and compare every path against a from-scratch evaluation.
 
-use mc_opt::ga::{optimize, GaConfig, GeneBounds, SERIAL_EVAL_THRESHOLD};
+use mc_opt::ga::{optimize, GaConfig, GeneBounds};
 use mc_opt::incremental::{optimize_incremental, Block, ObjectiveCache};
 use mc_opt::problem::HcTaskParams;
 use mc_opt::ObjectiveValue;
@@ -134,48 +133,37 @@ fn random_mutation_sequences_are_bit_identical_to_full_recomputation() {
 }
 
 #[test]
-fn incremental_ga_matches_closure_ga_for_every_knob_combination() {
+fn incremental_ga_matches_closure_ga() {
     // The central equality: the incremental backend and the memoised
-    // closure backend must return byte-identical GaResults for any thread
-    // count. Dims 6 and 24 stay under the serial-fallback threshold; dim
-    // 300 at population 32 crosses it, so threads 2 and 4 run the
-    // parallel closure and delta paths.
+    // closure backend must return byte-identical GaResults, from the
+    // paper's single-block scale to a many-block genome.
     let mut rng = StdRng::seed_from_u64(42);
     for dim in [6usize, 24, 300] {
         let cache = random_cache(&mut rng, dim);
         let bounds = vec![GeneBounds::new(0.0, 30.0).unwrap(); dim];
-        let base = GaConfig {
+        let cfg = GaConfig {
             population_size: 32,
             generations: 25,
-            threads: 1,
             ..GaConfig::default()
         };
         let closure = |c: &[f64]| cache.eval(c).fitness;
-        let (reference, _) = optimize(&bounds, closure, &base).unwrap();
-        for threads in [1usize, 2, 4] {
-            let cfg = GaConfig { threads, ..base };
-            let ctx = format!("dim {dim} threads {threads}");
-            let (r, _) = optimize(&bounds, closure, &cfg).unwrap();
-            assert_eq!(r, reference, "closure path diverged: {ctx}");
-            let (ri, stats) = optimize_incremental(&cache, &bounds, &cfg).unwrap();
-            assert_eq!(ri, reference, "incremental path diverged: {ctx}");
-            // Every considered slot was served exactly one way.
-            assert_eq!(
-                stats.considered,
-                stats.full_evals + stats.delta_evals + stats.carried,
-                "{ctx}"
-            );
-            assert_eq!(stats.memo_hits, 0, "{ctx}");
-            // Gen 0 is the only full-evaluation generation.
-            assert_eq!(stats.full_evals, 32, "{ctx}");
-            assert!(stats.delta_evals > 0, "{ctx}");
-            // The whole point: most gene-terms are never re-folded.
-            assert!(stats.genes_evaluated < stats.genes_total, "{ctx}");
-        }
+        let (reference, _) = optimize(&bounds, closure, &cfg).unwrap();
+        let ctx = format!("dim {dim}");
+        let (ri, stats) = optimize_incremental(&cache, &bounds, &cfg).unwrap();
+        assert_eq!(ri, reference, "incremental path diverged: {ctx}");
+        // Every considered slot was served exactly one way.
+        assert_eq!(
+            stats.considered,
+            stats.full_evals + stats.delta_evals + stats.carried,
+            "{ctx}"
+        );
+        assert_eq!(stats.memo_hits, 0, "{ctx}");
+        // Gen 0 is the only full-evaluation generation.
+        assert_eq!(stats.full_evals, 32, "{ctx}");
+        assert!(stats.delta_evals > 0, "{ctx}");
+        // The whole point: most gene-terms are never re-folded.
+        assert!(stats.genes_evaluated < stats.genes_total, "{ctx}");
     }
-    // The premise of the largest dim: generation 0 of either backend and
-    // every delta generation (all but the two elites) exceed the threshold.
-    const { assert!((32 - 2) * 300 >= SERIAL_EVAL_THRESHOLD) };
 }
 
 #[test]
@@ -187,7 +175,6 @@ fn incremental_stats_count_the_actual_work() {
     let cfg = GaConfig {
         population_size: 40,
         generations: 40,
-        threads: 1,
         ..GaConfig::default()
     };
     let (_, stats) = optimize_incremental(&cache, &bounds, &cfg).unwrap();
@@ -218,7 +205,6 @@ fn closure_stats_account_memo_and_dups() {
     let cfg = GaConfig {
         population_size: 24,
         generations: 20,
-        threads: 1,
         ..GaConfig::default()
     };
     let f = |c: &[f64]| c.iter().map(|x| x * (4.0 - x)).sum::<f64>();

@@ -95,8 +95,7 @@ impl AddrSource {
 pub struct WorkerConfig {
     /// Display name sent in `Hello`.
     pub name: String,
-    /// Thread budget for lease execution (0 = all cores), split between
-    /// unit fan-out and per-unit inner parallelism by
+    /// Threads a lease's units fan out over (0 = all cores), via
     /// [`mc_exp::run_units`].
     pub threads: usize,
     /// Heartbeat send interval.

@@ -34,8 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let (mut p_ms, mut max_u, mut objective) = (0.0, 0.0, 0.0);
             for set in 0..task_sets {
                 let gen = GeneratorConfig::default();
-                let e =
-                    evaluate_policy_one_set(u, policy, &gen, derive_set_seed(seed, ui, set), 1)?;
+                let e = evaluate_policy_one_set(u, policy, &gen, derive_set_seed(seed, ui, set))?;
                 p_ms += e.p_ms;
                 max_u += e.max_u_lc_lo;
                 objective += e.objective;

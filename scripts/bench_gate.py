@@ -37,9 +37,10 @@ WALL_FLOOR_S = 0.002
 # effective-throughput advantage (observed ~3-4x at 1000 tasks).
 MIN_INCREMENTAL_ADVANTAGE = 1.5
 
+SCHEMA_VERSION = 3
+
 RUN_FIELDS = {
     "name",
-    "threads",
     "wall_s",
     "considered",
     "raw_objective_evals",
@@ -56,15 +57,12 @@ RUN_FIELDS = {
 RUN_NAMES = [
     "baseline_serial",
     "new_serial",
-    "new_parallel",
     "incremental_serial",
-    "incremental_parallel",
 ]
 SCALING_FIELDS = {
     "hc_tasks",
     "population_size",
     "generations",
-    "threads",
     "backend",
     "wall_s",
     "considered",
@@ -72,12 +70,9 @@ SCALING_FIELDS = {
     "raw_evals_per_sec",
     "effective_evals_per_sec",
     "best_fitness",
-    "bit_identical_vs_t1",
 }
 SPEEDUPS = [
     "speedup_new_serial_vs_baseline",
-    "speedup_parallel_vs_new_serial",
-    "speedup_parallel_vs_baseline",
     "speedup_incremental_vs_new_serial",
     "speedup_incremental_vs_baseline",
 ]
@@ -94,8 +89,11 @@ def check(ok, msg):
 
 
 def validate_schema(report):
-    print("schema validation (v2):")
-    check(report.get("schema_version") == 2, "schema_version is 2")
+    print(f"schema validation (v{SCHEMA_VERSION}):")
+    check(
+        report.get("schema_version") == SCHEMA_VERSION,
+        f"schema_version is {SCHEMA_VERSION}",
+    )
     for key in (
         ["machine_threads", "repeats", "hc_tasks", "runs", "scaling_mode", "scaling"]
         + ["results_bit_identical", "stage_breakdown"]
@@ -107,10 +105,14 @@ def validate_schema(report):
     for name, run in runs.items():
         check(
             set(run) == RUN_FIELDS,
-            f"run {name!r} has the v2 field set (got {sorted(set(run) ^ RUN_FIELDS)} off)",
+            f"run {name!r} has the v{SCHEMA_VERSION} field set "
+            f"(got {sorted(set(run) ^ RUN_FIELDS)} off)",
         )
     for i, cell in enumerate(report.get("scaling", [])):
-        check(set(cell) == SCALING_FIELDS, f"scaling cell {i} has the v2 field set")
+        check(
+            set(cell) == SCALING_FIELDS,
+            f"scaling cell {i} has the v{SCHEMA_VERSION} field set",
+        )
     if report.get("scaling_mode", "off") != "off":
         check(bool(report.get("scaling")), "scaling sweep ran and recorded cells")
     return runs
@@ -136,7 +138,7 @@ def validate_consistency(report, runs):
             run["genes_evaluated"] <= run["genes_total"],
             f"{name}: genes_evaluated <= genes_total",
         )
-    check(report["results_bit_identical"] is True, "all five runs bit-identical")
+    check(report["results_bit_identical"] is True, "all three runs bit-identical")
     fitness = {run["best_fitness"] for run in runs.values()}
     check(len(fitness) == 1, f"one best fitness across runs (got {sorted(fitness)})")
     inc = runs.get("incremental_serial")
@@ -146,12 +148,12 @@ def validate_consistency(report, runs):
             inc["genes_evaluated"] < inc["genes_total"],
             "incremental path folded fewer gene-terms than a full recompute",
         )
-    for cell in report.get("scaling", []):
-        where = (
-            f"scaling {cell['hc_tasks']}t/p{cell['population_size']}"
-            f"/t{cell['threads']}/{cell['backend']}"
+    for key, by_backend in scaling_cells(report).items():
+        fitness = {c["best_fitness"] for c in by_backend.values()}
+        check(
+            len(fitness) == 1,
+            f"scaling {key[0]}t/p{key[1]}/g{key[2]}: backends agree on best fitness",
         )
-        check(cell["bit_identical_vs_t1"] is True, f"{where}: bit-identical vs t1")
     sb = report["stage_breakdown"]
     check(sb["ga_run_ns"] > 0 and sb["objective_evals"] > 0, "traced closure run recorded")
     check(sb["fitness_batch_ns"] <= sb["ga_run_ns"], "closure fitness time within run time")
@@ -189,7 +191,7 @@ def validate_count_regression(runs, ref_runs, tolerance):
 def scaling_cells(report):
     out = {}
     for c in report.get("scaling", []):
-        key = (c["hc_tasks"], c["population_size"], c["generations"], c["threads"])
+        key = (c["hc_tasks"], c["population_size"], c["generations"])
         out.setdefault(key, {})[c["backend"]] = c
     return out
 
@@ -202,7 +204,7 @@ def validate_scaling(report, reference, tolerance):
         if len(by_backend) < 2:
             continue
         inc, clo = by_backend["incremental"], by_backend["closure_memo"]
-        where = f"scaling {key[0]}t/p{key[1]}/g{key[2]}/t{key[3]}"
+        where = f"scaling {key[0]}t/p{key[1]}/g{key[2]}"
         # Deterministic part: objective computations per candidate must
         # not regress against the stored trajectory.
         ref = ref_cells.get(key)
@@ -258,11 +260,14 @@ def main():
         return 1
     validate_consistency(report, runs)
     ref_runs = {r.get("name"): r for r in reference.get("runs", [])}
-    if reference.get("schema_version") == 2:
+    if reference.get("schema_version") == SCHEMA_VERSION:
         validate_count_regression(runs, ref_runs, args.tolerance)
         validate_scaling(report, reference, args.tolerance)
     else:
-        print("(reference predates schema v2; count-regression gate skipped)")
+        print(
+            f"(reference predates schema v{SCHEMA_VERSION}; "
+            "count-regression gate skipped)"
+        )
     print_wall_context(report, reference)
 
     if failures:

@@ -48,8 +48,8 @@ USAGE:
 
   chebymc lint [bundle.json] [--workload <w.json>] [--program <p.prog>]
                [--benchmark <name>|all] [--source] [--root <dir>]
-               [--config <lint.toml>] [--threads <n>] [--deny <spec>]
-               [--allow <spec>] [--format human|json] [--json] [-o <file>]
+               [--config <lint.toml>] [--deny <spec>] [--allow <spec>]
+               [--format human|json] [--json] [-o <file>]
       Static analysis: CFG structure (unbounded/irreducible loops,
       unreachable blocks), task-set invariants, scheme configuration,
       campaign specs, and — with --source — the workspace's own Rust
@@ -474,7 +474,7 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let (mut workload, mut program, mut benchmark, mut format, mut out) =
         (None, None, None, None, None);
-    let (mut deny, mut allow, mut threads, mut root, mut config) = (None, None, None, None, None);
+    let (mut deny, mut allow, mut root, mut config) = (None, None, None, None);
     let positional = parse_flags(
         &args,
         &mut [
@@ -484,7 +484,6 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ("--format", &mut format),
             ("--deny", &mut deny),
             ("--allow", &mut allow),
-            ("--threads", &mut threads),
             ("--root", &mut root),
             ("--config", &mut config),
             ("-o", &mut out),
@@ -565,13 +564,12 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
         };
-        let threads: usize = threads.as_deref().unwrap_or("0").parse()?;
-        let audit = chebymc::lint::lint_workspace_sources(&root_dir, &allowlist, threads)?;
+        let audit = chebymc::lint::lint_workspace_sources(&root_dir, &allowlist)?;
         eprintln!("source audit: {} files scanned", audit.files_scanned);
         report.merge(audit.report);
         inputs += 1;
-    } else if threads.is_some() || root.is_some() || config.is_some() {
-        return Err(usage("--threads/--root/--config only apply with --source"));
+    } else if root.is_some() || config.is_some() {
+        return Err(usage("--root/--config only apply with --source"));
     }
     if inputs == 0 {
         return Err(usage(

@@ -17,9 +17,7 @@ fn mean_design(us: &[f64], policy: &WcetPolicy, seed: u64, sets: usize) -> Vec<S
         .enumerate()
         .map(|(ui, &u)| {
             let per_set: Vec<SetEvaluation> = (0..sets)
-                .map(|si| {
-                    evaluate_policy_one_set(u, policy, &gen, derive_set_seed(seed, ui, si), 1)
-                })
+                .map(|si| evaluate_policy_one_set(u, policy, &gen, derive_set_seed(seed, ui, si)))
                 .collect::<Result<_, _>>()
                 .unwrap();
             let mean =
