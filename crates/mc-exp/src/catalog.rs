@@ -26,11 +26,10 @@ use crate::run::UnitRunner;
 use crate::spec::{CampaignSpec, Param, PointSpec, WorkUnit};
 use crate::store::Metric;
 use crate::ExpError;
-use chebymc_core::pipeline::{
-    derive_set_seed, evaluate_acceptance_one_set, evaluate_arena_automotive_one_set,
-    evaluate_arena_one_set, evaluate_policy_one_set, ArenaEvaluation, SchedulingApproach,
-};
+use chebymc_core::metrics::design_metrics;
+use chebymc_core::pipeline::{derive_set_seed, design_set, evaluate_arena_set, ArenaEvaluation};
 use chebymc_core::policy::{paper_lambda_baselines, WcetPolicy};
+use chebymc_core::CoreError;
 use mc_exec::benchmarks;
 use mc_exec::trace::ExecutionTrace;
 use mc_opt::{GaConfig, ProblemConfig};
@@ -38,8 +37,10 @@ use mc_sched::policy::{PolicySpec, SchedulingPolicy};
 use mc_sched::sim::SimConfig;
 use mc_stats::chebyshev::one_sided_bound;
 use mc_stats::summary::Summary;
-use mc_task::automotive::AutomotiveConfig;
-use mc_task::generate::GeneratorConfig;
+use mc_task::automotive::{generate_automotive_taskset, AutomotiveConfig};
+use mc_task::generate::{
+    generate_hc_taskset, generate_lo_bounded_taskset, generate_mixed_taskset, GeneratorConfig,
+};
 use mc_task::time::Duration;
 use std::sync::OnceLock;
 
@@ -262,11 +263,14 @@ fn paper_u_axis(opts: &CatalogOptions) -> Vec<f64> {
 
 /// Design metrics of one HC-only set under a WCET policy (Figs. 3–5).
 fn design_eval(policy: &WcetPolicy, u: f64, seed: u64) -> Result<Vec<Metric>, ExpError> {
-    let e = evaluate_policy_one_set(u, policy, &GeneratorConfig::default(), seed)?;
+    let gen = GeneratorConfig::default();
+    let ts = design_set(seed, Some(policy), |rng| generate_hc_taskset(u, &gen, rng))?;
+    let _span = mc_obs::span("pipeline.metrics");
+    let m = design_metrics(&ts)?;
     Ok(vec![
-        Metric::new("p_ms", e.p_ms),
-        Metric::new("max_u_lc_lo", e.max_u_lc_lo),
-        Metric::new("objective", e.objective),
+        Metric::new("p_ms", m.p_ms),
+        Metric::new("max_u_lc_lo", m.max_u_lc_lo),
+        Metric::new("objective", m.objective),
     ])
 }
 
@@ -386,30 +390,30 @@ fn fig5(opts: &CatalogOptions) -> Campaign {
     )
 }
 
-/// One Fig. 6 curve: a published scheduling approach, tested on the sets
-/// as generated or after the scheme re-derives every `C_LO`.
+/// One Fig. 6 curve: a published scheduling policy, admitting the sets as
+/// generated or after the scheme re-derives every `C_LO`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Variant {
     /// The curve's name (`Baruah'12`, `Liu'16+scheme`, …).
     pub name: &'static str,
-    /// The WCET policy applied before the test; `None` tests the sets as
-    /// generated.
+    /// The WCET policy applied before admission; `None` admits the sets
+    /// as generated.
     pub scheme: Option<WcetPolicy>,
-    /// The schedulability test.
-    pub approach: SchedulingApproach,
+    /// The admitting policy.
+    pub policy: PolicySpec,
 }
 
-/// The Fig. 6 curves: Baruah et al. RTNS'12 (LC dropped in HI mode) and
-/// Liu et al. RTSS'16 (LC degraded to 50 %), each without and with the
-/// scheme's GA.
+/// The Fig. 6 curves: Baruah et al. RTNS'12 (EDF-VD, LC dropped in HI
+/// mode) and Liu et al. RTSS'16 (LC degraded to 50 %), each without and
+/// with the scheme's GA.
 #[must_use]
 pub fn fig6_variants() -> Vec<Fig6Variant> {
-    let baruah = SchedulingApproach::BaruahDropAll;
-    let liu = SchedulingApproach::LiuDegrade { fraction: 0.5 };
-    let variant = |name, scheme, approach| Fig6Variant {
+    let baruah = PolicySpec::EdfVdDropAll;
+    let liu = PolicySpec::LiuDegrade { fraction: 0.5 };
+    let variant = |name, scheme, policy| Fig6Variant {
         name,
         scheme,
-        approach,
+        policy,
     };
     vec![
         variant("Baruah'12", None, baruah),
@@ -422,23 +426,22 @@ pub fn fig6_variants() -> Vec<Fig6Variant> {
 /// Fig. 6's baseline budgets: `C_LO = λ·C_HI` with `λ ∈ [1/4, 1]`.
 const FIG6_LAMBDA_RANGE: (f64, f64) = (0.25, 1.0);
 
-/// Whether one LO-bounded set passes a Fig. 6 variant's test.
+/// Whether a Fig. 6 variant's policy admits one LO-bounded set, whose HC
+/// tasks are budgeted `C_LO = λᵢ·C_HI` with `λᵢ ∈ FIG6_LAMBDA_RANGE`.
 fn acceptance_eval(
     variant: &Fig6Variant,
     u_bound: f64,
     seed: u64,
 ) -> Result<Vec<Metric>, ExpError> {
-    let accepted = evaluate_acceptance_one_set(
-        u_bound,
-        variant.scheme.as_ref(),
-        variant.approach,
-        FIG6_LAMBDA_RANGE,
-        &GeneratorConfig::default(),
-        seed,
-    )?;
+    let gen = GeneratorConfig::default();
+    let ts = design_set(seed, variant.scheme.as_ref(), |rng| {
+        generate_lo_bounded_taskset(u_bound, FIG6_LAMBDA_RANGE, &gen, rng)
+    })?;
+    let _span = mc_obs::span("pipeline.admit");
+    let verdict = variant.policy.admit(&ts).map_err(CoreError::Sched)?;
     Ok(vec![Metric::new(
         "accepted",
-        if accepted { 1.0 } else { 0.0 },
+        if verdict.schedulable { 1.0 } else { 0.0 },
     )])
 }
 
@@ -651,8 +654,10 @@ fn policy_arena(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
         eval: |policy: &PolicySpec, u: f64, seed: u64| {
             let base = SimConfig::new(Duration::from_secs(ARENA_HORIZON_SECS));
             let gen = GeneratorConfig::default();
-            let e = evaluate_arena_one_set(u, &arena_wcet(), policy, &gen, seed, &base)?;
-            Ok(arena_metrics(e))
+            let ts = design_set(seed, Some(&arena_wcet()), |rng| {
+                generate_mixed_taskset(u, &gen, rng)
+            })?;
+            Ok(arena_metrics(evaluate_arena_set(&ts, policy, &base, seed)?))
         },
     };
     Ok(sweep.campaign(
@@ -704,9 +709,10 @@ fn automotive(opts: &CatalogOptions) -> Result<Campaign, ExpError> {
         seed_per_u: true,
         eval: move |policy: &PolicySpec, u: f64, seed: u64| {
             let base = SimConfig::new(Duration::from_secs(AUTOMOTIVE_HORIZON_SECS));
-            let e =
-                evaluate_arena_automotive_one_set(u, &arena_wcet(), policy, &config, seed, &base)?;
-            Ok(arena_metrics(e))
+            let ts = design_set(seed, Some(&arena_wcet()), |rng| {
+                generate_automotive_taskset(u, &config, rng)
+            })?;
+            Ok(arena_metrics(evaluate_arena_set(&ts, policy, &base, seed)?))
         },
     };
     Ok(sweep.campaign(
@@ -726,6 +732,15 @@ mod tests {
     use super::*;
     use crate::run::{run_campaign, RunConfig, Shard};
     use crate::store::Store;
+    use mc_sched::analysis::{edf_vd, liu};
+
+    /// The Eq. 13 objective of `policy` on the HC-only set drawn from
+    /// `seed` at `u`, bit for bit.
+    fn design_objective(u: f64, policy: &WcetPolicy, seed: u64) -> u64 {
+        let gen = GeneratorConfig::default();
+        let ts = design_set(seed, Some(policy), |rng| generate_hc_taskset(u, &gen, rng));
+        design_metrics(&ts.unwrap()).unwrap().objective.to_bits()
+    }
 
     #[test]
     fn unknown_campaigns_name_the_known_ones() {
@@ -841,15 +856,9 @@ mod tests {
         let acet_point = 4;
         let unit = c.spec.unit(acet_point * 3 + 1);
         let metrics = c.runner.run_unit(&unit, 1).unwrap();
-        let expected = evaluate_policy_one_set(
-            0.5,
-            &WcetPolicy::Acet,
-            &GeneratorConfig::default(),
-            derive_set_seed(5, 0, 1),
-        )
-        .unwrap();
+        let expected = design_objective(0.5, &WcetPolicy::Acet, derive_set_seed(5, 0, 1));
         assert_eq!(metrics[2].name, "objective");
-        assert_eq!(metrics[2].value.to_bits(), expected.objective.to_bits());
+        assert_eq!(metrics[2].value.to_bits(), expected);
     }
 
     #[test]
@@ -897,9 +906,7 @@ mod tests {
         };
         let expected = |n: f64, u: f64, point: usize, set: usize| {
             let policy = WcetPolicy::ChebyshevUniform { n };
-            let seed = derive_set_seed(3, point, set);
-            let e = evaluate_policy_one_set(u, &policy, &GeneratorConfig::default(), seed);
-            e.unwrap().objective.to_bits()
+            design_objective(u, &policy, derive_set_seed(3, point, set))
         };
         // fig3: n = 5 (policy 1) at u = 0.7 (u index 1), replica 2 →
         // point 3, unit 3·10 + 2; its sets come from seed point 1.
@@ -917,27 +924,60 @@ mod tests {
         assert_eq!(c.spec.points[0].label, "Baruah'12/u0.50");
         assert_eq!(c.spec.points[43].label, "Liu'16+scheme/u1.00");
         assert_eq!(c.spec.points[12].param("u"), Some(0.55));
+    }
+
+    #[test]
+    fn fig6_units_match_the_published_analyses() {
+        // Every variant's unit against the analysis it names, run directly
+        // on the same generated (and, for `+scheme`, GA-designed) set.
+        let bounds = [0.8, 0.95];
         let opts = CatalogOptions {
             sets: Some(3),
-            points: Some(vec![0.9]),
+            points: Some(bounds.to_vec()),
             ..CatalogOptions::default()
         };
         let c = build("fig6", &opts).unwrap();
-        // Baruah'12+scheme (variant 1) at the single bound, replica 2.
-        let metrics = c.runner.run_unit(&c.spec.unit(3 + 2), 1).unwrap();
-        let variant = &fig6_variants()[1];
-        let accepted = evaluate_acceptance_one_set(
-            0.9,
-            variant.scheme.as_ref(),
-            variant.approach,
-            (0.25, 1.0),
-            &GeneratorConfig::default(),
-            derive_set_seed(6, 0, 2),
-        )
-        .unwrap();
-        assert_eq!(
-            metrics,
-            vec![Metric::new("accepted", f64::from(u8::from(accepted)))]
+        let variants = fig6_variants();
+        let expected_policies = [
+            PolicySpec::EdfVdDropAll,
+            PolicySpec::EdfVdDropAll,
+            PolicySpec::LiuDegrade { fraction: 0.5 },
+            PolicySpec::LiuDegrade { fraction: 0.5 },
+        ];
+        let policies: Vec<PolicySpec> = variants.iter().map(|v| v.policy).collect();
+        assert_eq!(policies, expected_policies);
+        let gen = GeneratorConfig::default();
+        let mut verdicts = [0usize; 2];
+        for (vi, variant) in variants.iter().enumerate() {
+            assert_eq!(variant.scheme.is_some(), vi % 2 == 1, "{}", variant.name);
+            for (ui, &u) in bounds.iter().enumerate() {
+                for replica in 0..3 {
+                    let unit = c.spec.unit((vi * bounds.len() + ui) * 3 + replica);
+                    let metrics = c.runner.run_unit(&unit, 1).unwrap();
+                    let ts = design_set(
+                        derive_set_seed(6, ui, replica),
+                        variant.scheme.as_ref(),
+                        |rng| generate_lo_bounded_taskset(u, (0.25, 1.0), &gen, rng),
+                    )
+                    .unwrap();
+                    let accepted = if vi < 2 {
+                        edf_vd::analyze(&ts).schedulable
+                    } else {
+                        liu::analyze(&ts, 0.5).schedulable
+                    };
+                    verdicts[usize::from(accepted)] += 1;
+                    assert_eq!(
+                        metrics,
+                        vec![Metric::new("accepted", f64::from(u8::from(accepted)))],
+                        "{} at u = {u}, replica {replica}",
+                        variant.name
+                    );
+                }
+            }
+        }
+        assert!(
+            verdicts[0] > 0 && verdicts[1] > 0,
+            "one-sided: {verdicts:?}"
         );
     }
 
@@ -1132,7 +1172,6 @@ mod tests {
 
     #[test]
     fn automotive_units_reproduce_the_paired_arena_stream() {
-        use chebymc_core::pipeline::evaluate_arena_automotive_one_set;
         let opts = CatalogOptions {
             sets: Some(2),
             points: Some(vec![0.6]),
@@ -1148,13 +1187,16 @@ mod tests {
             runnables: 60,
             ..AutomotiveConfig::default()
         };
-        let expected = evaluate_arena_automotive_one_set(
-            0.6,
-            &arena_wcet(),
+        let seed = derive_set_seed(17, 0, 1);
+        let ts = design_set(seed, Some(&arena_wcet()), |rng| {
+            generate_automotive_taskset(0.6, &cfg, rng)
+        })
+        .unwrap();
+        let expected = evaluate_arena_set(
+            &ts,
             &PolicySpec::arena_roster()[1],
-            &cfg,
-            derive_set_seed(17, 0, 1),
             &SimConfig::new(Duration::from_secs(AUTOMOTIVE_HORIZON_SECS)),
+            seed,
         )
         .unwrap();
         assert_eq!(metrics[4].name, "lc_qos");

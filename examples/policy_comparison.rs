@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 
-use chebymc::core::pipeline::{derive_set_seed, evaluate_policy_one_set};
+use chebymc::core::pipeline::{derive_set_seed, design_set};
 use chebymc::core::policy::paper_lambda_baselines;
 use chebymc::prelude::*;
 
@@ -34,7 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let (mut p_ms, mut max_u, mut objective) = (0.0, 0.0, 0.0);
             for set in 0..task_sets {
                 let gen = GeneratorConfig::default();
-                let e = evaluate_policy_one_set(u, policy, &gen, derive_set_seed(seed, ui, set))?;
+                let set_seed = derive_set_seed(seed, ui, set);
+                let ts = design_set(set_seed, Some(policy), |rng| {
+                    generate_hc_taskset(u, &gen, rng)
+                })?;
+                let e = design_metrics(&ts)?;
                 p_ms += e.p_ms;
                 max_u += e.max_u_lc_lo;
                 objective += e.objective;
