@@ -64,6 +64,10 @@ pub enum SchedError {
         /// The check-point cap that was hit.
         max_points: u64,
     },
+    /// The EDF demand-bound test could not decide whether `Σ Cᵢ/Pᵢ ≤ 1`
+    /// exactly: the 64-bit fixed-point bounds straddle 1 and the reduced
+    /// fraction overflows `u128`.
+    UtilizationUndecided,
 }
 
 impl fmt::Display for SchedError {
@@ -79,6 +83,11 @@ impl fmt::Display for SchedError {
             SchedError::DemandPointsExceeded { max_points } => write!(
                 f,
                 "demand-bound analysis exceeded its cap of {max_points} check points"
+            ),
+            SchedError::UtilizationUndecided => write!(
+                f,
+                "demand-bound analysis cannot decide whether utilisation exceeds 1 \
+                 (fixed-point bounds straddle 1, exact fraction overflows u128)"
             ),
         }
     }
@@ -101,6 +110,8 @@ mod tests {
             cap.contains("demand-bound analysis") && cap.contains('7'),
             "{cap}"
         );
+        let u = SchedError::UtilizationUndecided.to_string();
+        assert!(u.contains("utilisation exceeds 1"), "{u}");
         let e = SchedError::InvalidSimConfig {
             reason: "horizon must be non-zero",
         };

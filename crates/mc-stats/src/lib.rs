@@ -40,7 +40,6 @@ pub mod chebyshev;
 pub mod dist;
 pub mod estimate;
 pub mod evt;
-pub mod gof;
 pub mod histogram;
 pub mod summary;
 
