@@ -14,8 +14,9 @@
 //!   λ-fraction baselines the paper compares against.
 //! * [`metrics`] — design metrics: Eq. 10 (`P_MS`), Eqs. 11–12
 //!   (`max U_LC^LO`), Eq. 13 (objective), Eq. 8 (schedulability).
-//! * [`pipeline`] — per-set evaluation of synthetic task sets, the unit
-//!   the Figs. 3–6 and policy-arena campaigns average.
+//! * [`pipeline`] — the per-set seed contract ([`pipeline::design_set`])
+//!   and the arena row, the units the Figs. 3–6 and arena campaigns
+//!   average.
 //!
 //! # Example
 //!
